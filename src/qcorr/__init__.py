@@ -5,7 +5,6 @@ NMR-style readout simulation for two-qubit states, plus a CLI
 (``qcorr``) over the same functionality.
 """
 
-from ._kernel import backend_name
 from .correlations import (
     ClassicalCorrelationResult,
     DiscordReport,

@@ -125,18 +125,25 @@ def cmd_sweep_werner(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
+    werner = np.array([states.make_werner(float(alpha)) for alpha in alphas])
+    # one batched basis search for the whole grid
+    searches = (
+        corr.classical_correlation(werner, check=False)
+        if args.with_discord
+        else [None] * len(werner)
+    )
     rows = []
-    for alpha in alphas:
-        rho = states.make_werner(float(alpha))
+    for alpha, rho, search in zip(alphas, werner, searches):
         report = wit.witness_value(rho)
         ent_report = ent.entanglement_report(rho, check=False)
+        mutual = corr.mutual_information(rho, check=False)
         row = {
             "alpha": float(alpha),
             "W": report.value,
-            "discord": corr.discord(rho, check=False).discord
-            if args.with_discord
-            else None,
-            "mutual_info": corr.mutual_information(rho, check=False),
+            "discord": None
+            if search is None
+            else corr.DiscordReport.split(mutual, search).discord,
+            "mutual_info": mutual,
             "negativity": ent_report.negativity,
             "chsh_max": ent_report.chsh_max,
         }

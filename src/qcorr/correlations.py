@@ -9,17 +9,18 @@ information.
 
 Two evaluation routes exist on purpose.  ``measured_mutual_information``
 works directly on projectors and partial traces; the basis search in
-``classical_correlation`` runs on a closed-form kernel over expectation
-coordinates (compiled when available).  The tests pin both routes against
-each other.
+``classical_correlation`` runs on the closed-form kernel over expectation
+coordinates in ``_kernel``.  The tests pin both routes against each other.
+
+``classical_correlation`` and ``discord`` take one 4x4 state or an
+``(N, 4, 4)`` stack; a stack is searched in one batched pass and gives a
+list of results.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from . import _kernel
 from . import operators as op
@@ -109,116 +110,274 @@ class ClassicalCorrelationResult(NamedTuple):
     evals: int
 
 
-def _canonical_angles(theta, phi):
-    """Fold arbitrary angles onto theta in [0, pi], phi in [0, 2 pi)."""
-    n = np.array(
-        [
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta),
-        ]
+# Basis search.  J(n), the information a readout of qubit b along n leaves
+# about qubit a, is convex on the Bloch ball: the conditional entropy is a
+# sum of perspectives p h(|v| / p) of the concave binary entropy, taken at
+# (p, v) affine in n.  So the step n <- grad J / |grad J| never lowers J
+# (the generalized power method of Journee et al., JMLR 11, 517, 2010).  It
+# converges only linearly, so each iteration takes a Newton step in the
+# tangent plane of the sphere when that raises J, and the power step when
+# it does not.  Both come from one stencil of kernel evaluations around
+# the current point, and every start of every state of a stack moves in
+# the same kernel call.
+
+# upper hemisphere only, as n and -n give the same readout basis
+_GRID_THETAS = (np.arange(7) + 0.5) * (np.pi / 14.0)
+_GRID_PHIS = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+_GRID_N = np.stack(
+    np.broadcast_arrays(
+        np.sin(_GRID_THETAS)[:, None] * np.cos(_GRID_PHIS),
+        np.sin(_GRID_THETAS)[:, None] * np.sin(_GRID_PHIS),
+        np.cos(_GRID_THETAS)[:, None],
+    ),
+    axis=-1,
+).reshape(-1, 3)
+# grid points that are distinct starts: more than this apart, n ~ -n
+_START_SEPARATION = 0.5
+_FAR = (
+    np.minimum(
+        np.linalg.norm(_GRID_N[:, None] - _GRID_N[None], axis=-1),
+        np.linalg.norm(_GRID_N[:, None] + _GRID_N[None], axis=-1),
     )
-    theta_c = math.acos(max(-1.0, min(1.0, n[2])))
-    phi_c = math.atan2(n[1], n[0]) % (2.0 * math.pi)
-    return theta_c, phi_c
+    > _START_SEPARATION
+)
+_STARTS = 3
+
+# finite-difference steps: a short one for the gradient, which fixes where
+# the search stops, and a longer one for the Hessian, whose rounding error
+# grows as 1 / step**2 and would hide the curvature of a nearly flat J
+_FD_STEP = 1e-5
+_FD_STEP_HESSIAN = 1e-3
+# stencil point (a, b, s) is s * exp_n(a e1 + b e2) for the frame (n, e1,
+# e2) at n; the last two lie inside the ball, for the radial derivative
+_h, _H = _FD_STEP, _FD_STEP_HESSIAN
+_STENCIL = np.array(
+    [
+        (0.0, 0.0, 1.0),
+        (_h, 0.0, 1.0),
+        (-_h, 0.0, 1.0),
+        (0.0, _h, 1.0),
+        (0.0, -_h, 1.0),
+        (_H, 0.0, 1.0),
+        (-_H, 0.0, 1.0),
+        (0.0, _H, 1.0),
+        (0.0, -_H, 1.0),
+        (_H, _H, 1.0),
+        (_H, -_H, 1.0),
+        (-_H, _H, 1.0),
+        (-_H, -_H, 1.0),
+        (0.0, 0.0, 1.0 - _h),
+        (0.0, 0.0, 1.0 - 2.0 * _h),
+    ]
+)
+_RADIUS = np.hypot(_STENCIL[:, 0], _STENCIL[:, 1])
+# weights of the frame rows (n, e1, e2) in each stencil point
+_STENCIL_COEF = _STENCIL[:, 2:] * np.stack(
+    [
+        np.cos(_RADIUS),
+        np.sinc(_RADIUS / np.pi) * _STENCIL[:, 0],
+        np.sinc(_RADIUS / np.pi) * _STENCIL[:, 1],
+    ],
+    axis=1,
+)
+# stencil values -> (J, g1, g2, h11, h12, h22, g_radial): the gradient and
+# Hessian in the tangent chart (the Riemannian ones at n) by central
+# differences, and n . grad J by a one-sided difference into the ball
+_DERIV = np.zeros((len(_STENCIL), 7))
+_DERIV[0] = (1.0, 0.0, 0.0, -2.0 / _H**2, 0.0, -2.0 / _H**2, 1.5 / _h)
+_DERIV[1:5, 1] = (0.5 / _h, -0.5 / _h, 0.0, 0.0)
+_DERIV[1:5, 2] = (0.0, 0.0, 0.5 / _h, -0.5 / _h)
+_DERIV[5:9, 3] = (1.0 / _H**2, 1.0 / _H**2, 0.0, 0.0)
+_DERIV[5:9, 5] = (0.0, 0.0, 1.0 / _H**2, 1.0 / _H**2)
+_DERIV[9:13, 4] = np.array([1.0, -1.0, -1.0, 1.0]) / (4.0 * _H**2)
+_DERIV[13:15, 6] = (-2.0 / _h, 0.5 / _h)
+del _h, _H
+# a point's state: its frame rows (9 numbers), then the 7 derivatives
+_J = 9
+# curvature magnitude below which J counts as flat along a direction
+_CURVATURE_FLOOR = 1e-8
+# longest Newton step, in radians; after a step that raised J by neither
+# route, the next Newton step is at most a quarter of it long
+_MAX_STEP = 0.5
+_SHRINK = 0.25
+# a start stops when a step moves it less than _STEP_TOL or gains less
+# than _GAIN_TOL; when neither step raises J, it stops if Newton's step was
+# that short or, to first order, promised that little
+_STEP_TOL = 1e-9
+_GAIN_TOL = 1e-15
+
+_EX = np.array([1.0, 0.0, 0.0])
+_EZ = np.array([0.0, 0.0, 1.0])
 
 
-def classical_correlation(
-    rho,
-    coarse=(13, 25),
-    starts=3,
-    max_evals=20000,
-    check=True,
-):
-    """Maximum measured mutual information over readout bases of qubit b.
+def _frames(n):
+    """Orthonormal frames with rows (n, e1, e2), shape (..., 3, 3), where
+    e1 and e2 span the tangent plane at the unit vectors ``n``."""
+    helper = np.where(np.abs(n[..., 2:]) < 0.9, _EZ, _EX)
+    e1 = helper - np.sum(helper * n, axis=-1, keepdims=True) * n
+    e1 = e1 / np.sqrt(np.sum(e1 * e1, axis=-1, keepdims=True))
+    e2 = n[..., [1, 2, 0]] * e1[..., [2, 0, 1]] - n[..., [2, 0, 1]] * e1[..., [1, 2, 0]]
+    return np.stack([n, e1, e2], axis=-2)
 
-    A coarse (theta, phi) grid seeds a few Nelder-Mead refinements; the
-    best value, its basis and the number of objective evaluations are
-    returned.  Raises ``OptimizerFailureError`` if no refinement converges
-    within the evaluation budget.
+
+def _probe(x, y, t, n):
+    """Frame and stencil derivatives of J at the unit vectors ``n``, packed
+    as (..., 16); one kernel call for all of them."""
+    frames = _frames(n)
+    values = _kernel.measured_info(x, y, t, _STENCIL_COEF @ frames)
+    return np.concatenate(
+        [frames.reshape(n.shape[:-1] + (9,)), values @ _DERIV], axis=-1
+    )
+
+
+def _newton_steps(d, longest):
+    """Tangent-chart steps (a, b) from the derivatives ``d`` (..., 7), at
+    most ``longest`` long.
+
+    Along each eigenvector of the Hessian the step is the gradient
+    component over the magnitude of the curvature, floored where J is
+    flat: Newton's step at a maximum, and a bounded ascent step on a ridge
+    or a saddle.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
-    decomp = op.decompose(rho, check=False)
-    x = np.ascontiguousarray(decomp.x)
-    y = np.ascontiguousarray(decomp.y)
-    t = np.ascontiguousarray(decomp.t)
+    g1, g2, h11, h12, h22 = (d[..., k] for k in range(1, 6))
+    mean = 0.5 * (h11 + h22)
+    radius = np.hypot(0.5 * (h11 - h22), h12)
+    # eigenvector (c, s) of the larger eigenvalue, (-s, c) of the smaller
+    angle = 0.5 * np.arctan2(2.0 * h12, h11 - h22)
+    c, s = np.cos(angle), np.sin(angle)
+    hi = (g1 * c + g2 * s) / np.maximum(np.abs(mean + radius), _CURVATURE_FLOOR)
+    lo = (g2 * c - g1 * s) / np.maximum(np.abs(mean - radius), _CURVATURE_FLOOR)
+    a = hi * c - lo * s
+    b = hi * s + lo * c
+    scale = np.minimum(1.0, longest / np.maximum(np.hypot(a, b), 1e-300))
+    return a * scale, b * scale
 
-    n_theta, n_phi = coarse
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    grid = np.empty((n_theta, n_phi))
-    _kernel.measured_info_grid(x, y, t, thetas, phis, grid)
-    evals = grid.size
 
-    # greedy pick of well-separated high-value starts
-    order = np.argsort(grid, axis=None)[::-1]
-    start_points = []
-    for flat in order:
-        i, j = np.unravel_index(flat, grid.shape)
-        theta0, phi0 = thetas[i], phis[j]
-        n0 = np.array(
-            [
-                math.sin(theta0) * math.cos(phi0),
-                math.sin(theta0) * math.sin(phi0),
-                math.cos(theta0),
-            ]
-        )
-        # +-n give the same readout basis up to outcome swap
-        if all(
-            min(np.linalg.norm(n0 - m), np.linalg.norm(n0 + m)) > 0.5
-            for m in (p[2] for p in start_points)
-        ):
-            start_points.append((theta0, phi0, n0))
-        if len(start_points) == starts:
-            break
+def _pick_starts(grid):
+    """Indices (N, _STARTS) of the highest grid points of each state,
+    skipping any point close to one already taken."""
+    order = np.argsort(-grid, axis=1, kind="stable")
+    rows = np.arange(len(grid))
+    picks = order[:, :1]
+    for _ in range(_STARTS - 1):
+        far = _FAR[picks[:, :, None], order[:, None, :]].all(axis=1)
+        # with no distinct point left, the best one starts again
+        nxt = order[rows, np.argmax(far, axis=1)]
+        picks = np.concatenate([picks, nxt[:, None]], axis=1)
+    return picks
 
-    best_val = float(np.max(grid))
-    flat_best = int(np.argmax(grid))
-    bi, bj = np.unravel_index(flat_best, grid.shape)
-    best_angles = (float(thetas[bi]), float(phis[bj]))
 
-    counter = [evals]
+def _basis_search(x, y, t, max_evals):
+    """Maximize J over readout directions for each state of a stack.
 
-    def negative_info(angles):
-        counter[0] += 1
-        return -_kernel.measured_info(x, y, t, angles[0], angles[1])
-
-    budget = max(200, (max_evals - evals) // max(1, len(start_points)))
-    dt = np.pi / (2 * (n_theta - 1))
-    dp = np.pi / n_phi
-    converged = False
-    for theta0, phi0, _ in start_points:
-        simplex = np.array(
-            [[theta0, phi0], [theta0 + dt, phi0], [theta0, phi0 + dp]]
-        )
-        res = optimize.minimize(
-            negative_info,
-            np.array([theta0, phi0]),
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "xatol": 1e-8,
-                "fatol": 1e-13,
-                "maxfev": budget,
-            },
-        )
-        if res.success:
-            converged = True
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_angles = (float(res.x[0]), float(res.x[1]))
-    if not converged:
+    ``x``, ``y``, ``t`` have shapes (N, 3), (N, 3), (N, 3, 3).  Returns
+    J*, the maximizing unit vectors and the evaluations spent, per state.
+    Raises ``OptimizerFailureError`` for states none of whose starts
+    settled within ``max_evals`` evaluations.
+    """
+    count = len(x)
+    grid = np.empty((count, _GRID_THETAS.size, _GRID_PHIS.size))
+    first = _GRID_N.shape[0] + _STARTS * len(_STENCIL)
+    per_iteration = 2 * _STARTS * len(_STENCIL)
+    if first > max_evals:
         raise OptimizerFailureError(
             f"basis search did not converge within {max_evals} evaluations"
         )
+    _kernel.measured_info_grid(x, y, t, _GRID_THETAS, _GRID_PHIS, grid)
+    evals = np.full(count, first)
+    # kernel broadcasting: states, starts, candidates, stencil points
+    x, y, t = x[:, None, None, None], y[:, None, None, None], t[:, None, None, None]
+    starts = _GRID_N[_pick_starts(grid.reshape(count, _GRID_N.shape[0]))]
+    state = _probe(x, y, t, starts[:, :, None])[:, :, 0]
+    active = np.ones(starts.shape[:2], dtype=bool)
+    settled = np.zeros_like(active)
+    longest = np.full(starts.shape[:2], _MAX_STEP)
+    while True:
+        running = active.any(axis=1)
+        spent = running & (evals + per_iteration > max_evals)
+        active[spent] = False
+        running &= ~spent
+        if not running.any():
+            break
+        evals[running] += per_iteration
+        frame = state[..., :_J].reshape(state.shape[:-1] + (3, 3))
+        d = state[..., _J:]
+        a, b = _newton_steps(d, longest)
+        r = np.hypot(a, b)
+        sinc = np.sinc(r / np.pi)
+        chart = np.stack([np.cos(r), sinc * a, sinc * b], axis=-1)
+        newton = np.einsum("...k,...kj->...j", chart, frame)
+        # grad J = g_radial n + g1 e1 + g2 e2
+        grad = np.einsum("...k,...kj->...j", d[..., [6, 1, 2]], frame)
+        norm = np.sqrt(np.sum(grad * grad, axis=-1, keepdims=True))
+        power = np.where(
+            norm > 0.0, grad / np.where(norm > 0.0, norm, 1.0), frame[..., 0, :]
+        )
+        probes = _probe(x, y, t, np.stack([newton, power], axis=-2))
+        rise = probes[..., _J] > state[..., None, _J]
+        new = np.where(rise[..., :1], probes[..., 0, :], probes[..., 1, :])
+        moved = active & rise.any(axis=-1)
+        step = np.sqrt(np.sum((new[..., :3] - state[..., :3]) ** 2, axis=-1))
+        gain = new[..., _J] - state[..., _J]
+        # the Newton step's gain to first order
+        promised = d[..., 1] * a + d[..., 2] * b
+        done = active & np.where(
+            moved,
+            (step <= _STEP_TOL) | (gain <= _GAIN_TOL),
+            (r <= _STEP_TOL) | (promised <= _GAIN_TOL),
+        )
+        longest = np.where(
+            rise[..., 0], _MAX_STEP, np.where(moved, longest, _SHRINK * r)
+        )
+        state = np.where(moved[..., None], new, state)
+        settled |= done
+        active &= ~done
+    failed = np.flatnonzero(~settled.any(axis=1))
+    if failed.size:
+        where = "" if count == 1 else f" for states {failed.tolist()}"
+        raise OptimizerFailureError(
+            f"basis search did not converge within {max_evals} evaluations{where}"
+        )
+    top = state[np.arange(count), np.argmax(state[..., _J], axis=1)]
+    return top[:, _J], top[:, :3], evals
 
-    theta_c, phi_c = _canonical_angles(*best_angles)
-    basis = MeasurementBasis(theta=theta_c, phi=phi_c)
-    return ClassicalCorrelationResult(
-        j_star=float(best_val), basis=basis, evals=int(counter[0])
+
+def _as_stack(rho, check):
+    """``rho`` as an (N, 4, 4) stack, each state validated when ``check``,
+    and whether a single state was given."""
+    rho = np.asarray(rho, dtype=complex)
+    single = rho.ndim != 3
+    stack = rho[None] if single else rho
+    if check:
+        for state in stack:
+            op.require_density_matrix(state)
+    return stack, single
+
+
+def classical_correlation(rho, max_evals=20000, check=True):
+    """Maximum measured mutual information over readout bases of qubit b.
+
+    The best points of a fixed hemisphere grid start tangent-plane Newton
+    refinements, with the power step as the fallback; the best value, its
+    basis and the number of objective evaluations are returned.  Raises
+    ``OptimizerFailureError`` if no refinement settles within the
+    evaluation budget.  A stack of states gives a list of results.
+    """
+    stack, single = _as_stack(rho, check)
+    parts = [op.decompose(state, check=False) for state in stack]
+    j_star, n_star, evals = _basis_search(
+        np.array([p.x for p in parts]).reshape(-1, 3),
+        np.array([p.y for p in parts]).reshape(-1, 3),
+        np.array([p.t for p in parts]).reshape(-1, 3, 3),
+        max_evals,
     )
+    results = [
+        ClassicalCorrelationResult(
+            j_star=float(j), basis=MeasurementBasis.from_bloch(n), evals=int(e)
+        )
+        for j, n, e in zip(j_star, n_star, evals)
+    ]
+    return results[0] if single else results
 
 
 @dataclass(frozen=True)
@@ -230,6 +389,21 @@ class DiscordReport:
     discord: float
     basis: MeasurementBasis
     evals: int
+
+    @classmethod
+    def split(cls, mutual_info, search):
+        """Split ``mutual_info`` by a :func:`classical_correlation` result;
+        a discord within 1e-8 below zero is rounding and reads 0."""
+        gap = mutual_info - search.j_star
+        if -DISCORD_CLAMP <= gap < 0.0:
+            gap = 0.0
+        return cls(
+            mutual_info=mutual_info,
+            classical=search.j_star,
+            discord=gap,
+            basis=search.basis,
+            evals=search.evals,
+        )
 
     def to_dict(self):
         return {
@@ -246,20 +420,13 @@ def discord(rho, check=True, **search_options):
     """Quantum discord of a two-qubit state under readout of qubit b.
 
     ``D = I - J_star``; values within 1e-8 below zero are clamped to 0.
-    Keyword options are forwarded to :func:`classical_correlation`.
+    Keyword options are forwarded to :func:`classical_correlation`.  A
+    stack of states gives a list of reports.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
-    total = mutual_information(rho, check=False)
-    result = classical_correlation(rho, check=False, **search_options)
-    gap = total - result.j_star
-    if -DISCORD_CLAMP <= gap < 0.0:
-        gap = 0.0
-    return DiscordReport(
-        mutual_info=total,
-        classical=result.j_star,
-        discord=gap,
-        basis=result.basis,
-        evals=result.evals,
-    )
+    stack, single = _as_stack(rho, check)
+    searches = classical_correlation(stack, check=False, **search_options)
+    reports = [
+        DiscordReport.split(mutual_information(state, check=False), search)
+        for state, search in zip(stack, searches)
+    ]
+    return reports[0] if single else reports

@@ -78,15 +78,24 @@ def min_eigenvalue(h):
     return float(eigenvalues_hermitian(h)[-1])
 
 
+def require_finite(m):
+    """Raise ``InvalidStateError`` if an entry of ``m`` is NaN or infinite."""
+    m = np.asarray(m)
+    finite = np.isfinite(m)
+    if not finite.all():
+        raise InvalidStateError(f"matrix has a non-finite entry ({m[~finite][0]})")
+
+
 def require_density_matrix(rho):
     """Raise ``InvalidStateError`` unless ``rho`` is a valid 4x4 density matrix.
 
-    Valid means Hermitian to 1e-12, unit trace to 1e-12 and positive
+    Valid means finite, Hermitian to 1e-12, unit trace to 1e-12 and positive
     semidefinite with eigenvalues no lower than -1e-10.
     """
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    require_finite(rho)
     defect = hermiticity_defect(rho)
     if defect > HERMITICITY_TOL:
         raise InvalidStateError(f"matrix is not Hermitian (defect {defect:.3e})")
@@ -265,7 +274,9 @@ class MeasurementBasis:
         norm = float(np.linalg.norm(n))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"direction must be a unit vector, |n| = {norm}")
-        n = n / norm
-        theta = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
+        theta = float(np.arctan2(np.hypot(n[0], n[1]), n[2]))
+        # a tiny negative angle taken modulo 2 pi rounds to 2 pi itself
         phi = float(np.arctan2(n[1], n[0])) % (2.0 * np.pi)
+        if phi >= 2.0 * np.pi:
+            phi = 0.0
         return cls(theta=theta, phi=phi)

@@ -45,11 +45,13 @@ def validate(matrix):
 
     Returns a ``StateValidity`` record with individual flags (Hermitian to
     1e-12, unit trace to 1e-12, eigenvalues above -1e-10) plus whether the
-    correlation matrix is diagonal to 1e-9.
+    correlation matrix is diagonal to 1e-9.  A matrix with a NaN or
+    infinite entry raises ``InvalidStateError``, as no flag applies to it.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {matrix.shape}")
+    op.require_finite(matrix)
     hermitian = op.hermiticity_defect(matrix) <= op.HERMITICITY_TOL
     trace_one = abs(complex(np.trace(matrix)) - 1.0) <= op.TRACE_TOL
     sym = (matrix + matrix.conj().T) / 2.0
@@ -212,12 +214,15 @@ def parse_state(record):
     Two layouts are auto-detected: ``{"matrix": [[re, im] x 16]}`` with
     entries in row-major order, or ``{"x": [..], "y": [..], "c": [..]}``
     with three-vectors of expectation values.  Raises ``ValueError`` on
-    malformed records; positivity failures surface as ``NotPositiveError``.
+    malformed records; NaN or infinite numbers raise ``InvalidStateError``
+    and positivity failures ``NotPositiveError``.
     """
     if not isinstance(record, dict):
         raise ValueError("state record must be a JSON object")
     if "matrix" in record:
-        return _matrix_from_entries(record["matrix"])
+        rho = _matrix_from_entries(record["matrix"])
+        op.require_finite(rho)
+        return rho
     if {"x", "y", "c"} <= set(record):
         vecs = []
         for key in ("x", "y", "c"):
@@ -225,6 +230,7 @@ def parse_state(record):
             if not isinstance(v, (list, tuple)) or len(v) != 3:
                 raise ValueError(f"field {key!r} must be a list of 3 numbers")
             vecs.append(np.asarray([float(u) for u in v]))
+        op.require_finite(vecs)
         return make_general(*vecs)
     raise ValueError(
         "state record must contain either 'matrix' or all of 'x', 'y', 'c'"

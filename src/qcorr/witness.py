@@ -191,8 +191,9 @@ def witness_value(
 
     Deterministic mode scores e4 at its supremum ``|x| + |y|``.
     Randomized mode draws ``n_trials`` direction pairs from ``seed`` (or
-    uses the given ``directions`` list) and keeps the trial with the
-    largest witness; it never exceeds the deterministic value.
+    uses the given ``directions``, a pair or a non-empty list of pairs) and
+    keeps the trial with the largest witness; it never exceeds the
+    deterministic value.
     """
     rho = np.asarray(rho, dtype=complex)
     if check:
@@ -215,6 +216,8 @@ def witness_value(
             directions = [DirectionPair.random(rng) for _ in range(n_trials)]
         elif isinstance(directions, DirectionPair):
             directions = [directions]
+        if len(directions) == 0:
+            raise ValueError("directions must hold at least one DirectionPair")
         value = -1.0
         e = None
         for pair in directions:

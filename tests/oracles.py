@@ -90,6 +90,51 @@ def random_local_unitary(rng):
     return np.kron(one(), one())
 
 
+def random_rank2_state(rng):
+    """Random rank-2 state: G G^dagger with G a complex Gaussian 4x2."""
+    g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+# ------------------------------------------------ closed-form J* oracles
+
+
+def luo_classical_correlation(c):
+    """J* in bits of the Bell-diagonal state with like-axis correlations
+    ``c``: 1 - h((1 + max |c_i|) / 2) (Luo, PRA 77, 042303, 2008)."""
+    top = float(np.max(np.abs(c)))
+    return 1.0 - float(binary_entropy((1.0 + top) / 2.0))
+
+
+_SIGMA_YY = np.kron(op.pauli(2), op.pauli(2))
+
+
+def koashi_winter_classical_correlation(rho):
+    """J* in bits, for readout of qubit b, of a state of rank at most 2.
+
+    J* = S(a) - E_F(rho_ac), where the qubit c purifies rho_ab (Koashi and
+    Winter, PRA 69, 022309, 2004), and E_F follows from Wootters'
+    concurrence (PRL 80, 2245, 1998).  The concurrence is
+    C = max(0, s1 - s2) over the singular values of the 2x2 matrix
+    tau_ij = phi_i^T (sigma_y (x) sigma_y) phi_j, where phi_j = <j|_b psi
+    is the unnormalized ensemble of rho_ac read off the purification psi.
+    The textbook route through sqrt(eigvals(rho rho~)) is not used: its two
+    zero eigenvalues come back as ~1e-16 rounding, and their square roots
+    shift C by ~1e-8.
+    """
+    evals, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    # psi[a, b, c] = sum_k sqrt(lambda_k) <ab|v_k> <c|k> over the top two
+    weights = np.sqrt(np.clip(evals[2:], 0.0, None))
+    psi = (vecs[:, 2:] * weights).reshape(2, 2, 2)
+    ensemble = [psi[:, j, :].reshape(4) for j in (0, 1)]
+    tau = np.array([[u @ _SIGMA_YY @ v for v in ensemble] for u in ensemble])
+    s = np.linalg.svd(tau, compute_uv=False)
+    concurrence = max(0.0, float(s[0] - s[1]))
+    e_f = float(binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - concurrence**2))) / 2.0))
+    return op.von_neumann_entropy(op.partial_trace(rho, "a")) - e_f
+
+
 # ------------------------------------------- measured-information oracle
 
 

@@ -74,6 +74,22 @@ def test_classify_invalid_state(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_classify_non_finite_state(tmp_path, capsys, bad):
+    # json writes these as NaN and Infinity, which json.load reads back
+    payload = matrix_payload(states.make_werner(0.5))
+    payload["matrix"][5][0] = bad
+    path = write_state(tmp_path, "bad.json", payload)
+    code, out, err = run(["classify", path], capsys)
+    assert code == cli.EXIT_INVALID_STATE == 65
+    assert out == ""
+    assert "non-finite" in err
+    path = write_state(
+        tmp_path, "bad-xyc.json", {"x": [0, 0, bad], "y": [0, 0, 0], "c": [0, 0, 0]}
+    )
+    assert run(["nmr-verify", path], capsys)[0] == cli.EXIT_INVALID_STATE
+
+
 def test_classify_unreadable_file(tmp_path, capsys):
     path = tmp_path / "nope.json"
     path.write_text("{not json")

@@ -4,62 +4,17 @@ import pytest
 import oracles
 from qcorr import _kernel
 from qcorr import operators as op
-from qcorr._kernel import _fallback
 
 
 def _decomposed(rho):
     d = op.decompose(rho)
-    return (
-        np.ascontiguousarray(d.x),
-        np.ascontiguousarray(d.y),
-        np.ascontiguousarray(d.t),
+    return d.x, d.y, d.t
+
+
+def _direction(theta, phi):
+    return np.array(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
-
-
-def test_backend_reports_a_name():
-    assert _kernel.backend_name() in ("cython", "numpy")
-
-
-def test_force_backend_round_trip():
-    with _kernel.force_backend("numpy"):
-        assert _kernel.backend_name() == "numpy"
-    if _kernel.COMPILED_AVAILABLE:
-        with _kernel.force_backend("cython"):
-            assert _kernel.backend_name() == "cython"
-    else:
-        with pytest.raises(RuntimeError):
-            _kernel.force_backend("cython").__enter__()
-
-
-def test_force_backend_unknown_name():
-    with pytest.raises(ValueError):
-        with _kernel.force_backend("fortran"):
-            pass
-
-
-@pytest.mark.skipif(not _kernel.COMPILED_AVAILABLE, reason="no compiled extension")
-def test_backends_agree_pointwise(rng):
-    for _ in range(30):
-        rho = oracles.random_density_matrix(rng)
-        x, y, t = _decomposed(rho)
-        theta = rng.uniform(0, np.pi)
-        phi = rng.uniform(0, 2 * np.pi)
-        a = _kernel._compiled.measured_info(x, y, t, theta, phi)
-        b = _fallback.measured_info(x, y, t, theta, phi)
-        assert abs(a - b) <= 1e-13
-
-
-@pytest.mark.skipif(not _kernel.COMPILED_AVAILABLE, reason="no compiled extension")
-def test_backends_agree_on_grid(rng):
-    rho = oracles.random_density_matrix(rng)
-    x, y, t = _decomposed(rho)
-    thetas = np.linspace(0, np.pi, 13)
-    phis = np.linspace(0, 2 * np.pi, 25, endpoint=False)
-    out_c = np.empty((13, 25))
-    _kernel._compiled.measured_info_grid(x, y, t, thetas, phis, out_c)
-    out_f = np.empty((13, 25))
-    _fallback.measured_info_grid(x, y, t, thetas, phis, out_f)
-    assert np.max(np.abs(out_c - out_f)) <= 1e-13
 
 
 def test_kernel_matches_matrix_route(rng):
@@ -73,7 +28,7 @@ def test_kernel_matches_matrix_route(rng):
         expected = oracles.measured_info_matrix_grid(rho, thetas, phis)
         got = np.array(
             [
-                [_kernel.measured_info(x, y, t, th, ph) for ph in phis]
+                [_kernel.measured_info(x, y, t, _direction(th, ph)) for ph in phis]
                 for th in thetas
             ]
         )
@@ -88,16 +43,44 @@ def test_grid_wrapper_matches_scalar_calls(rng):
     out = np.empty((8, 5))
     _kernel.measured_info_grid(x, y, t, thetas, phis, out)
     scalar = [
-        [_kernel.measured_info(x, y, t, a, b) for b in phis] for a in thetas
+        [_kernel.measured_info(x, y, t, _direction(a, b)) for b in phis] for a in thetas
     ]
     assert np.allclose(out, scalar, atol=1e-14)
 
 
-def test_fallback_grid_shape_mismatch(rng):
+def test_stack_matches_single_states(rng):
+    parts = [_decomposed(oracles.random_density_matrix(rng)) for _ in range(4)]
+    x, y, t = (np.array(p) for p in zip(*parts))
+    n = np.array([_direction(*rng.uniform(0, 3, 2)) for _ in range(4)])
+    stacked = _kernel.measured_info(x, y, t, n)
+    single = [_kernel.measured_info(*p, m) for p, m in zip(parts, n)]
+    assert np.allclose(stacked, single, atol=1e-15)
+    thetas, phis = np.linspace(0.0, 1.5, 3), np.linspace(0.0, 6.0, 4)
+    out = np.empty((4, 3, 4))
+    _kernel.measured_info_grid(x, y, t, thetas, phis, out)
+    for k, p in enumerate(parts):
+        one = np.empty((3, 4))
+        _kernel.measured_info_grid(*p, thetas, phis, one)
+        assert np.allclose(out[k], one, atol=1e-15)
+
+
+def test_convex_on_the_bloch_ball(rng):
+    # the basis search's power step is sound only because of this
+    for _ in range(20):
+        x, y, t = _decomposed(oracles.random_density_matrix(rng))
+        ends = rng.normal(size=(2, 50, 3))
+        ends /= np.linalg.norm(ends, axis=-1, keepdims=True)
+        ends *= rng.uniform(0, 1, (2, 50, 1))
+        j0, j1 = _kernel.measured_info(x, y, t, ends)
+        mid = _kernel.measured_info(x, y, t, ends.mean(axis=0))
+        assert np.all(mid <= (j0 + j1) / 2 + 1e-12)
+
+
+def test_grid_shape_mismatch(rng):
     rho = oracles.random_density_matrix(rng)
     x, y, t = _decomposed(rho)
     with pytest.raises(ValueError):
-        _fallback.measured_info_grid(
+        _kernel.measured_info_grid(
             x, y, t, np.zeros(4), np.zeros(5), np.zeros((4, 4))
         )
 
@@ -109,4 +92,4 @@ def test_pure_product_measured_info_zero():
     rho = states.make_product((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
     x, y, t = _decomposed(rho)
     for theta, phi in [(0.0, 0.0), (np.pi / 2, 0.0), (1.1, 2.2)]:
-        assert abs(_kernel.measured_info(x, y, t, theta, phi)) <= 1e-12
+        assert abs(_kernel.measured_info(x, y, t, _direction(theta, phi))) <= 1e-12

@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 from qcorr import operators as op
@@ -251,6 +251,28 @@ def test_measurement_basis_bloch_round_trip():
     again = MeasurementBasis.from_bloch(basis.bloch())
     assert abs(again.theta - 1.1) <= 1e-12
     assert abs(again.phi - 4.4) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.floats(min_value=0.0, max_value=np.pi),
+    phi=st.one_of(
+        st.sampled_from([-0.0, -1e-17, -5e-324, 2 * np.pi]),
+        st.floats(min_value=-4 * np.pi, max_value=4 * np.pi),
+    ),
+)
+@example(theta=np.pi / 2, phi=-1e-17)
+@example(theta=np.pi / 2, phi=-0.0)
+def test_measurement_basis_from_bloch_wraps_phi(theta, phi):
+    # a direction just below the x axis once folded phi onto 2 pi itself,
+    # which the basis then rejected
+    n = np.array(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    )
+    basis = MeasurementBasis.from_bloch(n)
+    assert 0.0 <= basis.theta <= np.pi
+    assert 0.0 <= basis.phi < 2 * np.pi
+    assert np.allclose(basis.bloch(), n, atol=1e-12)
 
 
 def test_measurement_basis_angle_validation():

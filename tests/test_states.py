@@ -150,6 +150,19 @@ def test_validate_shape():
         states.validate(np.eye(2))
 
 
+def test_validate_non_finite():
+    # NaN used to reach the eigensolver and fail there as a LinAlgError
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        rho = states.make_werner(0.5)
+        rho[1, 2] = bad
+        with pytest.raises(InvalidStateError):
+            states.validate(rho)
+        with pytest.raises(InvalidStateError):
+            states.check_state(rho)
+        with pytest.raises(InvalidStateError):
+            op.require_density_matrix(rho)
+
+
 def test_validity_to_dict_keys():
     v = states.validate(states.make_werner(0.2))
     assert set(v.to_dict()) == {

@@ -156,6 +156,13 @@ def test_randomized_explicit_directions():
     assert report.n_trials == 1
 
 
+def test_randomized_empty_directions():
+    # no direction pair gives no witness reading, so no certificate either
+    rho = states.make_werner(0.5)
+    with pytest.raises(ValueError):
+        wit.witness_value(rho, mode="randomized", directions=[])
+
+
 def test_witness_zero_iff_one_expectation(rng):
     # chi shapes have exactly one candidate live; generic in-class states
     # with several live candidates score strictly positive
