@@ -28,7 +28,7 @@ def _xlog2x(v):
     return v * np.log2(v)
 
 
-def _entropy_of_length(r):
+def entropy_of_length(r):
     """Binary entropy in bits of ``(1 + r) / 2``: the entropy of a qubit
     whose Bloch vector has length ``r`` in [0, 1]."""
     half = 0.5 * r
@@ -47,10 +47,10 @@ def _info(x, y, t, n):
     conditional = 0.5 * np.einsum(
         "...k,...k->...",
         np.where(live, p2, 0.0),
-        _entropy_of_length(np.minimum(length, 1.0)),
+        entropy_of_length(np.minimum(length, 1.0)),
     )
     x_length = np.sqrt(np.einsum("...j,...j->...", x, x))
-    marginal = _entropy_of_length(np.minimum(x_length, 1.0))
+    marginal = entropy_of_length(np.minimum(x_length, 1.0))
     return marginal - conditional
 
 

@@ -24,30 +24,29 @@ import numpy as np
 
 from . import _kernel
 from . import operators as op
+from ._kernel import PROB_FLOOR
 from .exceptions import OptimizerFailureError, ZeroProbabilityOutcomeError
 from .operators import MeasurementBasis
 
-PROB_FLOOR = 1e-12
 # discord this far below zero is numerical noise and clamps to 0
 DISCORD_CLAMP = 1e-8
 
-_ID2 = np.eye(2, dtype=complex)
-
 
 def mutual_information(rho, check=True):
-    """Total correlations ``S(rho_a) + S(rho_b) - S(rho)`` in bits."""
+    """Total correlations ``S(rho_a) + S(rho_b) - S(rho)`` in bits; the
+    marginal entropies are binary entropies of the Bloch-vector lengths."""
     rho = np.asarray(rho, dtype=complex)
     if check:
         op.require_density_matrix(rho)
-    s_a = op.von_neumann_entropy(op.partial_trace(rho, "a", check=False), check=False)
-    s_b = op.von_neumann_entropy(op.partial_trace(rho, "b", check=False), check=False)
-    s_ab = op.von_neumann_entropy(rho, check=False)
-    return s_a + s_b - s_ab
+    decomp = op.decompose(rho, check=False)
+    lengths = np.sqrt([decomp.x @ decomp.x, decomp.y @ decomp.y])
+    marginals = _kernel.entropy_of_length(np.minimum(lengths, 1.0))
+    return float(marginals.sum()) - op.von_neumann_entropy(rho, check=False)
 
 
 def _projector4(basis, outcome):
     p0, p1 = basis.projectors()
-    return np.kron(_ID2, p0 if outcome == 0 else p1)
+    return np.kron(op.pauli(0), p0 if outcome == 0 else p1)
 
 
 def outcome_probability(rho, basis, outcome, check=True):
@@ -196,8 +195,8 @@ del _h, _H
 _J = 9
 # curvature magnitude below which J counts as flat along a direction
 _CURVATURE_FLOOR = 1e-8
-# longest Newton step, in radians; after a step that raised J by neither
-# route, the next Newton step is at most a quarter of it long
+# longest Newton step, in radians; after a Newton step that did not raise
+# J, the next one is at most a quarter of it long
 _MAX_STEP = 0.5
 _SHRINK = 0.25
 # a start stops when a step moves it less than _STEP_TOL or gains less
@@ -326,9 +325,7 @@ def _basis_search(x, y, t, max_evals):
             (step <= _STEP_TOL) | (gain <= _GAIN_TOL),
             (r <= _STEP_TOL) | (promised <= _GAIN_TOL),
         )
-        longest = np.where(
-            rise[..., 0], _MAX_STEP, np.where(moved, longest, _SHRINK * r)
-        )
+        longest = np.where(rise[..., 0], _MAX_STEP, _SHRINK * r)
         state = np.where(moved[..., None], new, state)
         settled |= done
         active &= ~done

@@ -42,11 +42,16 @@ def partial_transpose(rho, subsystem="b", check=True):
     raise ValueError(f"subsystem must be 'a' or 'b', got {subsystem!r}")
 
 
-def negativity(rho, check=True):
-    """Sum of |negative eigenvalues| of the partial transpose."""
+def _pt_spectrum(rho, check):
+    """Partial-transpose eigenvalues, descending, and the negativity."""
     evals = op.eigenvalues_hermitian(partial_transpose(rho, check=check))
     # + 0.0 turns the empty-sum -0.0 into a plain zero
-    return float(-np.sum(evals[evals < 0.0]) + 0.0)
+    return evals, float(-np.sum(evals[evals < 0.0]) + 0.0)
+
+
+def negativity(rho, check=True):
+    """Sum of |negative eigenvalues| of the partial transpose."""
+    return _pt_spectrum(rho, check)[1]
 
 
 def chsh_maximum(rho, check=True):
@@ -93,9 +98,8 @@ def entanglement_report(rho, check=True):
     rho = np.asarray(rho, dtype=complex)
     if check:
         op.require_density_matrix(rho)
-    evals = op.eigenvalues_hermitian(partial_transpose(rho, check=False))
+    evals, neg = _pt_spectrum(rho, check=False)
     lo = float(evals[-1])
-    neg = float(-np.sum(evals[evals < 0.0]) + 0.0)
     chsh = chsh_maximum(rho, check=False)
     return EntanglementReport(
         min_pt_eigenvalue=lo,

@@ -15,10 +15,15 @@ spins about axis k, and the prime denoting the adjoint.  Shot sampling of
 each magnetization models the finite-statistics experiment, and
 ``witness_via_protocol`` assembles the classicality witness from these
 readouts alone.
+
+``run_protocol`` builds the three transformed states and reads each.
+``witness_via_protocol`` reads the same numbers in the Heisenberg picture,
+as expectations in rho of the fixed observables U' (sigma_1 (x) id) U of
+the circuits U = C, C R3, C R2: the identity ``run_protocol`` checks.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -26,8 +31,7 @@ import numpy as np
 from . import operators as op
 from . import witness as wit
 
-_ID2 = np.eye(2, dtype=complex)
-_SIGMA1A = np.kron(op.pauli(1), _ID2)
+_SIGMA1A = op.tensor(op.pauli(1), op.pauli(0))
 
 EXACT_RESIDUAL_TOL = 1e-12
 # sampled-mode residual gate in units of standard error
@@ -42,7 +46,7 @@ def cnot_ab():
     ``|0><0| (x) id + |1><1| (x) sigma_1``; Hermitian and self-inverse.
     """
     gate = np.zeros((4, 4), dtype=complex)
-    gate[:2, :2] = _ID2
+    gate[:2, :2] = op.pauli(0)
     gate[2:, 2:] = op.pauli(1)
     return gate
 
@@ -56,18 +60,21 @@ def rotation_pair(axis):
         raise ValueError(f"axis must be 2 or 3, got {axis!r}")
     c = math.cos(math.pi / 4.0)
     s = math.sin(math.pi / 4.0)
-    single = c * _ID2 - 1j * s * op.pauli(axis)
+    single = c * op.pauli(0) - 1j * s * op.pauli(axis)
     return np.kron(single, single)
 
 
-def _transformed(rho):
-    cnot = cnot_ab()
-    r3 = rotation_pair(3)
-    r2 = rotation_pair(2)
-    eta = cnot @ rho @ cnot
-    zeta = cnot @ (r3 @ rho @ r3.conj().T) @ cnot
-    xi = cnot @ (r2 @ rho @ r2.conj().T) @ cnot
-    return eta, zeta, xi
+_CNOT = cnot_ab()
+_R3 = rotation_pair(3)
+_R2 = rotation_pair(2)
+# U' (sigma_1 (x) id) U for U = C, C R3, C R2, as rows that read the
+# expectation off the 16 entries of rho in row-major order
+_READOUTS = np.array(
+    [
+        (u.conj().T @ _SIGMA1A @ u).T.reshape(16)
+        for u in (_CNOT, _CNOT @ _R3, _CNOT @ _R2)
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,9 @@ def transform_states(rho, check=True):
     rho = np.asarray(rho, dtype=complex)
     if check:
         op.require_density_matrix(rho)
-    eta, zeta, xi = _transformed(rho)
+    eta = _CNOT @ rho @ _CNOT
+    zeta = _CNOT @ (_R3 @ rho @ _R3.conj().T) @ _CNOT
+    xi = _CNOT @ (_R2 @ rho @ _R2.conj().T) @ _CNOT
     c = op.decompose(rho, check=False).diagonal_correlations()
     ms = tuple(op.expectation(s, _SIGMA1A, check=False) for s in (eta, zeta, xi))
     residuals = tuple(float(abs(ms[i] - c[i])) for i in range(3))
@@ -178,26 +187,22 @@ def run_protocol(rho, shots=None, seed=None, check=True):
     exact = transform_states(rho, check=False)
     if shots is None:
         return exact
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
     c = op.decompose(rho, check=False).diagonal_correlations()
-    sampled = []
-    errs = []
-    for state in (exact.eta, exact.zeta, exact.xi):
-        est, err = sample_magnetization(state, shots, rng=rng, check=False)
-        sampled.append(est)
-        errs.append(err)
-    residuals = tuple(float(abs(sampled[i] - c[i])) for i in range(3))
-    return ProtocolRun(
-        eta=exact.eta,
-        zeta=exact.zeta,
-        xi=exact.xi,
-        m_eta=sampled[0],
-        m_zeta=sampled[1],
-        m_xi=sampled[2],
-        residuals=residuals,
+    (m1, s1), (m2, s2), (m3, s3) = [
+        _sample_pm1(m, shots, rng) for m in exact.magnetizations()
+    ]
+    return replace(
+        exact,
+        m_eta=m1,
+        m_zeta=m2,
+        m_xi=m3,
+        residuals=tuple(float(abs(m - ci)) for m, ci in zip((m1, m2, m3), c)),
         shots=int(shots),
         seed=seed,
-        stderrs=tuple(errs),
+        stderrs=(s1, s2, s3),
     )
 
 
@@ -219,9 +224,12 @@ def witness_via_protocol(
 ):
     """Classicality witness assembled from protocol readouts only.
 
-    The three like-axis correlations come from the transformed-state
-    magnetizations; the direction-pair expectation comes from separate
-    local readouts of ``z . sigma`` on spin a and ``w . sigma`` on spin b.
+    The three like-axis correlations come from the protocol
+    magnetizations, read as fixed Heisenberg-picture observables; the
+    direction-pair expectation comes from separate local readouts of
+    ``z . sigma`` on spin a and ``w . sigma`` on spin b, whose exact values
+    are z . x and w . y.
+
     Exact mode (``shots=None``) reproduces ``witness_value`` in randomized
     mode with the same single direction pair to rounding precision.
 
@@ -238,36 +246,24 @@ def witness_via_protocol(
     if directions is None:
         directions = wit.DirectionPair.random(rng)
 
-    run = transform_states(rho, check=False)
-    z_obs = np.kron(
-        sum(directions.z[k] * op.pauli(k + 1) for k in range(3)), _ID2
-    )
-    w_obs = np.kron(
-        _ID2, sum(directions.w[k] * op.pauli(k + 1) for k in range(3))
-    )
-    za_exact = op.expectation(rho, z_obs, check=False)
-    wb_exact = op.expectation(rho, w_obs, check=False)
+    magnetizations = [float(m) for m in (_READOUTS @ rho.reshape(16)).real]
+    za_exact = float(directions.z @ decomp.x)
+    wb_exact = float(directions.w @ decomp.y)
 
     if shots is None:
-        e = (run.m_eta, run.m_zeta, run.m_xi, za_exact + wb_exact)
+        e = (*magnetizations, za_exact + wb_exact)
         value = wit.pairwise_product_sum(e)
         verdict = wit._verdict(value, decomp, wit.ZERO_TOL)
         stderr = None
     else:
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
-        estimates = []
-        errs = []
-        for state in (run.eta, run.zeta, run.xi):
-            exact_m = op.expectation(state, _SIGMA1A, check=False)
-            est, err = _sample_pm1(exact_m, shots, rng)
-            estimates.append(est)
-            errs.append(err)
-        za_est, za_err = _sample_pm1(za_exact, shots, rng)
-        wb_est, wb_err = _sample_pm1(wb_exact, shots, rng)
-        estimates.append(za_est + wb_est)
-        errs.append(math.hypot(za_err, wb_err))
-        e = tuple(estimates)
+        # this draw order fixes the sampled record of a given seed
+        (m1, s1), (m2, s2), (m3, s3), (za, za_err), (wb, wb_err) = [
+            _sample_pm1(m, shots, rng) for m in (*magnetizations, za_exact, wb_exact)
+        ]
+        e = (m1, m2, m3, za + wb)
+        errs = (s1, s2, s3, math.hypot(za_err, wb_err))
         value = wit.pairwise_product_sum(e)
         stderr = _witness_stderr(e, errs)
         verdict = wit._verdict(value, decomp, WITNESS_SIGMAS * stderr)

@@ -33,6 +33,10 @@ _PAULIS = (_ID2, _SIGMA1, _SIGMA2, _SIGMA3)
 _PAULI4 = tuple(
     tuple(np.kron(_PAULIS[i], _PAULIS[j]) for j in range(4)) for i in range(4)
 )
+# row 4 i + j reads Tr(rho s_ij) = sum_kl rho_kl (s_ij)_lk off the 16
+# entries of rho in row-major order, so one product gives all coordinates
+_COORD = np.array([_PAULI4[i][j].T.reshape(16) for i in range(4) for j in range(4)])
+_OFFDIAGONAL = ~np.eye(3, dtype=bool)
 
 
 def pauli(i):
@@ -73,11 +77,6 @@ def eigenvalues_hermitian(h):
     return np.linalg.eigvalsh(sym)[::-1].copy()
 
 
-def min_eigenvalue(h):
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(eigenvalues_hermitian(h)[-1])
-
-
 def require_finite(m):
     """Raise ``InvalidStateError`` if an entry of ``m`` is NaN or infinite."""
     m = np.asarray(m)
@@ -86,23 +85,32 @@ def require_finite(m):
         raise InvalidStateError(f"matrix has a non-finite entry ({m[~finite][0]})")
 
 
+def _density_checks(m):
+    """What the density-matrix checks read off a finite complex matrix: its
+    Hermiticity defect, its trace error |Tr m - 1| and the smallest
+    eigenvalue of its Hermitian part."""
+    adjoint = m.conj().T
+    defect = float(abs(m - adjoint).max())
+    trace_err = abs(complex(m.trace()) - 1.0)
+    lo = float(np.linalg.eigvalsh((m + adjoint) / 2.0)[0])
+    return defect, trace_err, lo
+
+
 def require_density_matrix(rho):
     """Raise ``InvalidStateError`` unless ``rho`` is a valid 4x4 density matrix.
 
     Valid means finite, Hermitian to 1e-12, unit trace to 1e-12 and positive
     semidefinite with eigenvalues no lower than -1e-10.
     """
-    rho = np.asarray(rho)
+    rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
     require_finite(rho)
-    defect = hermiticity_defect(rho)
+    defect, trace_err, lo = _density_checks(rho)
     if defect > HERMITICITY_TOL:
         raise InvalidStateError(f"matrix is not Hermitian (defect {defect:.3e})")
-    trace_err = abs(complex(np.trace(rho)) - 1.0)
     if trace_err > TRACE_TOL:
         raise InvalidStateError(f"trace differs from 1 by {trace_err:.3e}")
-    lo = min_eigenvalue(rho)
     if lo < -PSD_TOL:
         raise InvalidStateError(
             f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})"
@@ -127,8 +135,7 @@ class PauliDecomposition:
 
     def max_offdiagonal(self):
         """Largest |t[i, j]| with i != j."""
-        off = self.t - np.diag(np.diagonal(self.t))
-        return float(np.max(np.abs(off)))
+        return float(abs(self.t[_OFFDIAGONAL]).max())
 
 
 def decompose(rho, check=True):
@@ -136,18 +143,15 @@ def decompose(rho, check=True):
 
     Returns a ``PauliDecomposition`` with
     ``x[i] = Tr(rho sigma_i (x) id)``, ``y[j] = Tr(rho id (x) sigma_j)``
-    and ``t[i, j] = Tr(rho sigma_i (x) sigma_j)``.  Imaginary residues of
-    the traces (at most 1e-12 for valid input) are discarded.
+    and ``t[i, j] = Tr(rho sigma_i (x) sigma_j)``, all 16 traces taken in
+    one product with a constant matrix.  Imaginary residues of the traces
+    (at most 1e-12 for valid input) are discarded.
     """
     rho = np.asarray(rho, dtype=complex)
     if check:
         require_density_matrix(rho)
-    x = np.array([np.trace(rho @ _PAULI4[i][0]).real for i in (1, 2, 3)])
-    y = np.array([np.trace(rho @ _PAULI4[0][j]).real for j in (1, 2, 3)])
-    t = np.array(
-        [[np.trace(rho @ _PAULI4[i][j]).real for j in (1, 2, 3)] for i in (1, 2, 3)]
-    )
-    return PauliDecomposition(x=x, y=y, t=t)
+    c = (_COORD @ rho.reshape(16)).real.reshape(4, 4)
+    return PauliDecomposition(x=c[1:, 0], y=c[0, 1:], t=c[1:, 1:])
 
 
 def compose(x, y, t):

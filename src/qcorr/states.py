@@ -52,15 +52,13 @@ def validate(matrix):
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {matrix.shape}")
     op.require_finite(matrix)
-    hermitian = op.hermiticity_defect(matrix) <= op.HERMITICITY_TOL
-    trace_one = abs(complex(np.trace(matrix)) - 1.0) <= op.TRACE_TOL
-    sym = (matrix + matrix.conj().T) / 2.0
-    lo = float(np.linalg.eigvalsh(sym)[0])
+    defect, trace_err, lo = op._density_checks(matrix)
+    hermitian = defect <= op.HERMITICITY_TOL
+    trace_one = trace_err <= op.TRACE_TOL
     psd = lo >= -op.PSD_TOL
-    in_class = False
-    if hermitian and trace_one and psd:
-        decomp = op.decompose(matrix, check=False)
-        in_class = decomp.max_offdiagonal() <= OFFDIAG_TOL
+    in_class = (hermitian and trace_one and psd) and (
+        op.decompose(matrix, check=False).max_offdiagonal() <= OFFDIAG_TOL
+    )
     return StateValidity(
         hermitian=hermitian,
         trace_one=trace_one,
@@ -83,7 +81,7 @@ def make_general(x, y, c):
     if x.shape != (3,) or y.shape != (3,) or c.shape != (3,):
         raise ValueError("x, y and c must each have shape (3,)")
     rho = op.compose(x, y, np.diag(c))
-    lo = op.min_eigenvalue(rho)
+    lo = float(op.eigenvalues_hermitian(rho)[-1])
     if lo < -op.PSD_TOL:
         raise NotPositiveError(lo)
     return rho

@@ -26,6 +26,7 @@ nonclassicality there.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -37,7 +38,10 @@ from .exceptions import OutOfClassError
 ZERO_TOL = 1e-9
 UNIT_TOL = 1e-12
 
-_ID2 = np.eye(2, dtype=complex)
+
+def _length(v):
+    # the value of np.linalg.norm on a real vector, without its call overhead
+    return math.sqrt(np.dot(v, v))
 
 
 class Verdict(str, enum.Enum):
@@ -59,7 +63,7 @@ class DirectionPair:
         for name, v in (("z", self.z), ("w", self.w)):
             if v.shape != (3,):
                 raise ValueError(f"{name} must have shape (3,)")
-            if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_TOL:
+            if abs(_length(v) - 1.0) > UNIT_TOL:
                 raise ValueError(f"{name} must be a unit vector")
 
     @classmethod
@@ -68,7 +72,7 @@ class DirectionPair:
         vecs = []
         for _ in range(2):
             v = rng.normal(size=3)
-            vecs.append(v / np.linalg.norm(v))
+            vecs.append(v / _length(v))
         return cls(z=vecs[0], w=vecs[1])
 
 
@@ -80,7 +84,7 @@ def observables(directions):
     )
     z_dot = sum(z[k] * op.pauli(k + 1) for k in range(3))
     w_dot = sum(w[k] * op.pauli(k + 1) for k in range(3))
-    local_sum = np.kron(z_dot, _ID2) + np.kron(_ID2, w_dot)
+    local_sum = op.tensor(z_dot, op.pauli(0)) + op.tensor(op.pauli(0), w_dot)
     return like_axis + (local_sum,)
 
 
@@ -158,7 +162,7 @@ def matched_form(x, y, c, tol=ZERO_TOL):
         abs(float(c[0])),
         abs(float(c[1])),
         abs(float(c[2])),
-        float(np.linalg.norm(x) + np.linalg.norm(y)),
+        _length(x) + _length(y),
     ]
     k = int(np.argmax(candidates))
     if all(v <= tol for i, v in enumerate(candidates) if i != k):
@@ -169,10 +173,7 @@ def matched_form(x, y, c, tol=ZERO_TOL):
 def _verdict(value, decomp, tol):
     if value <= tol:
         return Verdict.CLASSICAL
-    bell_diagonal = (
-        float(np.linalg.norm(decomp.x)) <= ZERO_TOL
-        and float(np.linalg.norm(decomp.y)) <= ZERO_TOL
-    )
+    bell_diagonal = _length(decomp.x) <= ZERO_TOL and _length(decomp.y) <= ZERO_TOL
     if bell_diagonal:
         return Verdict.NONCLASSICAL
     return Verdict.INCONCLUSIVE
@@ -203,7 +204,7 @@ def witness_value(
     c = decomp.diagonal_correlations()
 
     if mode == "deterministic":
-        e4 = float(np.linalg.norm(decomp.x) + np.linalg.norm(decomp.y))
+        e4 = _length(decomp.x) + _length(decomp.y)
         e = (float(c[0]), float(c[1]), float(c[2]), e4)
         value = pairwise_product_sum(e)
         report_trials = None

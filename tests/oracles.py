@@ -97,6 +97,31 @@ def random_rank2_state(rng):
     return m / np.trace(m).real
 
 
+# ------------------------------------------------ coordinate-route oracles
+
+
+def decompose_by_traces(rho):
+    """(x, y, t) of a two-qubit state from 15 separate traces
+    Tr(rho sigma_i (x) sigma_j), one matrix product each."""
+    rho = np.asarray(rho, dtype=complex)
+    s = [[np.kron(op.pauli(i), op.pauli(j)) for j in range(4)] for i in range(4)]
+    x = np.array([np.trace(rho @ s[i][0]).real for i in (1, 2, 3)])
+    y = np.array([np.trace(rho @ s[0][j]).real for j in (1, 2, 3)])
+    t = np.array([[np.trace(rho @ s[i][j]).real for j in (1, 2, 3)] for i in (1, 2, 3)])
+    return x, y, t
+
+
+def mutual_information_by_eigensolves(rho):
+    """S(rho_a) + S(rho_b) - S(rho) from three eigensolves: both reduced
+    states by partial trace, and rho itself."""
+    entropy = op.von_neumann_entropy
+    return (
+        entropy(op.partial_trace(rho, "a"))
+        + entropy(op.partial_trace(rho, "b"))
+        - entropy(rho)
+    )
+
+
 # ------------------------------------------------ closed-form J* oracles
 
 

@@ -13,6 +13,12 @@ from qcorr.operators import MeasurementBasis
 ATOL = 1e-12
 
 
+def _random_pure_state(rng):
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
 def _half_half():
     # equal mixture of |00><00| and |11><11|
     return np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
@@ -21,6 +27,22 @@ def _half_half():
 def test_mutual_information_product_and_singlet():
     assert dc.mutual_information(states.make_product([0.3, 0, 0], [0, 0, 0.4])) <= 1e-10
     assert abs(dc.mutual_information(states.make_werner(1.0)) - 2.0) <= 1e-10
+
+
+def test_mutual_information_matches_eigensolve_route(rng):
+    rhos = [oracles.random_density_matrix(rng) for _ in range(200)]
+    rhos += [oracles.random_rank2_state(rng) for _ in range(100)]
+    rhos += [_random_pure_state(rng) for _ in range(100)]
+    rhos += [np.eye(4, dtype=complex) / 4.0, states.make_werner(1.0)]
+    for length in np.linspace(0.0, 1.0, 21):
+        a, b = rng.normal(size=(2, 3))
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        rhos.append(states.make_product(a * length, b * 0.0))
+        rhos.append(states.make_product(a * 0.3, b * length))
+    rhos += [states.make_product([0, 0, 1], [1, 0, 0])]
+    for rho in rhos:
+        expected = oracles.mutual_information_by_eigensolves(rho)
+        assert abs(dc.mutual_information(rho) - expected) <= 1e-13
 
 
 def test_mutual_information_werner_half():
@@ -162,6 +184,35 @@ def test_classical_correlation_matches_luo(rng):
         exact = oracles.luo_classical_correlation(c)
         assert result.j_star <= exact + 1e-12
         assert exact - result.j_star <= EXACT_GAP
+
+
+# (1 - eps) |psi><psi| + eps rho' for these eps: the basis search once
+# crawled along a ridge of J on a few percent of such states and ran out
+# of evaluations, as its Newton radius shrank only when both steps failed
+NEAR_PURE_EPS = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+
+def test_near_pure_rank2_states_reach_koashi_winter(rng):
+    for eps in NEAR_PURE_EPS:
+        rhos = [
+            (1.0 - eps) * _random_pure_state(rng) + eps * _random_pure_state(rng)
+            for _ in range(60)
+        ]
+        for rho, result in zip(rhos, dc.classical_correlation(np.array(rhos))):
+            exact = oracles.koashi_winter_classical_correlation(rho)
+            assert result.j_star <= exact + 1e-12
+            assert exact - result.j_star <= 1e-12
+
+
+def test_near_pure_full_rank_states_settle(rng):
+    for eps in NEAR_PURE_EPS:
+        rhos = [
+            (1.0 - eps) * _random_pure_state(rng)
+            + eps * oracles.random_density_matrix(rng)
+            for _ in range(60)
+        ]
+        results = dc.classical_correlation(np.array(rhos))
+        assert all(0.0 <= r.j_star <= 1.0 for r in results)
 
 
 def test_discord_stack_matches_single_calls(rng):

@@ -133,6 +133,20 @@ def test_witness_via_protocol_matches_direct_evaluation(rng):
         assert np.allclose(via.expectations, direct.expectations, atol=1e-10)
 
 
+def test_heisenberg_magnetizations_match_transformed_states(rng):
+    # witness_via_protocol reads the protocol's magnetizations as fixed
+    # Heisenberg-picture observables; run_protocol builds the states
+    rhos = [oracles.random_in_class_state(rng) for _ in range(100)]
+    rhos += [oracles.random_bell_diagonal(rng) for _ in range(20)]
+    rhos += [oracles.random_chi_state(rng, kind) for kind in (1, 2, 3, 4) * 5]
+    rhos += [states.make_werner(a) for a in np.linspace(0.0, 1.0, 11)]
+    pair = witness.DirectionPair(z=[1.0, 0.0, 0.0], w=[0.0, 0.0, 1.0])
+    for rho in rhos:
+        via = nmr.witness_via_protocol(rho, directions=pair)
+        built = nmr.transform_states(rho).magnetizations()
+        assert np.max(np.abs(np.subtract(via.expectations[:3], built))) <= 1e-15
+
+
 def test_witness_via_protocol_default_directions():
     rho = states.make_bell_diagonal([0.5, 0.0, 0.0])
     report = nmr.witness_via_protocol(rho)

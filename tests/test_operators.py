@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 
 import oracles
 from qcorr import operators as op
+from qcorr import states
 from qcorr.exceptions import InvalidStateError
 from qcorr.operators import MeasurementBasis
 
@@ -65,16 +66,20 @@ def test_decompose_singlet():
 
 
 def test_decompose_matches_raw_traces(rng):
-    # same numbers from a from-scratch trace computation
-    rho = oracles.random_density_matrix(rng)
-    d = op.decompose(rho)
-    paulis = [np.eye(2), op.pauli(1), op.pauli(2), op.pauli(3)]
-    for i in range(3):
-        assert abs(d.x[i] - np.trace(rho @ np.kron(paulis[i + 1], paulis[0])).real) <= ATOL
-        assert abs(d.y[i] - np.trace(rho @ np.kron(paulis[0], paulis[i + 1])).real) <= ATOL
-        for j in range(3):
-            raw = np.trace(rho @ np.kron(paulis[i + 1], paulis[j + 1])).real
-            assert abs(d.t[i, j] - raw) <= ATOL
+    # same numbers from 15 separate trace computations
+    rhos = [oracles.random_density_matrix(rng) for _ in range(500)]
+    rhos += [states.make_werner(a) for a in np.linspace(0.0, 1.0, 11)]
+    rhos += [oracles.random_bell_diagonal(rng) for _ in range(20)]
+    rhos += [oracles.random_chi_state(rng, kind) for kind in (1, 2, 3, 4) * 5]
+    rhos += [
+        states.make_product(*(rng.uniform(-0.5, 0.5, (2, 3)))) for _ in range(20)
+    ]
+    for rho in rhos:
+        d = op.decompose(rho)
+        x, y, t = oracles.decompose_by_traces(rho)
+        assert np.max(np.abs(d.x - x)) <= 1e-15
+        assert np.max(np.abs(d.y - y)) <= 1e-15
+        assert np.max(np.abs(d.t - t)) <= 1e-15
 
 
 def test_decompose_rejects_invalid():
