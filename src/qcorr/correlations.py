@@ -36,9 +36,7 @@ def mutual_information(rho, check=True):
     """Total correlations ``S(rho_a) + S(rho_b) - S(rho)`` in bits; the
     marginal entropies are binary entropies of the Bloch-vector lengths."""
     rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
-    decomp = op.decompose(rho, check=False)
+    decomp = op.decompose(rho, check=check)
     lengths = np.sqrt([decomp.x @ decomp.x, decomp.y @ decomp.y])
     marginals = _kernel.entropy_of_length(np.minimum(lengths, 1.0))
     return float(marginals.sum()) - op.von_neumann_entropy(rho, check=False)

@@ -60,11 +60,8 @@ def chsh_maximum(rho, check=True):
     Equals ``2 sqrt(m1 + m2)`` where m1 >= m2 are the two largest
     eigenvalues of ``t^T t`` for the correlation matrix ``t``.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
-    t = op.decompose(rho, check=False).t
-    m = np.sort(np.linalg.eigvalsh(t.T @ t))
+    t = op.decompose(rho, check=check).t
+    m = np.linalg.eigvalsh(t.T @ t)
     return float(2.0 * np.sqrt(max(m[-1] + m[-2], 0.0)))
 
 
@@ -96,11 +93,9 @@ def entanglement_report(rho, check=True):
     maximum exceeds 2 by more than 1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
+    chsh = chsh_maximum(rho, check=check)
     evals, neg = _pt_spectrum(rho, check=False)
     lo = float(evals[-1])
-    chsh = chsh_maximum(rho, check=False)
     return EntanglementReport(
         min_pt_eigenvalue=lo,
         negativity=neg,

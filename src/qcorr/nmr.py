@@ -122,12 +122,10 @@ def transform_states(rho, check=True):
     1e-12) for any valid state.
     """
     rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
+    c = op.decompose(rho, check=check).diagonal_correlations()
     eta = _CNOT @ rho @ _CNOT
     zeta = _CNOT @ (_R3 @ rho @ _R3.conj().T) @ _CNOT
     xi = _CNOT @ (_R2 @ rho @ _R2.conj().T) @ _CNOT
-    c = op.decompose(rho, check=False).diagonal_correlations()
     ms = tuple(op.expectation(s, _SIGMA1A, check=False) for s in (eta, zeta, xi))
     residuals = tuple(float(abs(ms[i] - c[i])) for i in range(3))
     return ProtocolRun(
@@ -182,15 +180,13 @@ def run_protocol(rho, shots=None, seed=None, check=True):
     standard errors.
     """
     rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
+    c = op.decompose(rho, check=check).diagonal_correlations()
     exact = transform_states(rho, check=False)
     if shots is None:
         return exact
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
-    c = op.decompose(rho, check=False).diagonal_correlations()
     (m1, s1), (m2, s2), (m3, s3) = [
         _sample_pm1(m, shots, rng) for m in exact.magnetizations()
     ]
@@ -238,9 +234,7 @@ def witness_via_protocol(
     standard errors of zero.
     """
     rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
-    decomp = op.decompose(rho, check=False)
+    decomp = op.decompose(rho, check=check)
     wit._require_in_class(decomp)
     rng = np.random.default_rng(seed)
     if directions is None:

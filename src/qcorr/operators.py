@@ -8,9 +8,15 @@ Hermitian eigensolver and the von Neumann entropy in bits.
 
 All functions treat states as plain ``numpy.ndarray`` objects and never
 mutate their arguments.
+
+One slot keeps the checks of the last 4x4 matrix checked (Hermiticity
+defect, trace error, spectrum, Pauli coordinates); a later call reuses them
+only for a matrix with the same bytes, so the certify calls on one state
+share one eigensolve and an array edited in place is checked afresh.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,11 +74,14 @@ def eigenvalues_hermitian(h):
     of silently projecting.
     """
     h = np.asarray(h, dtype=complex)
-    defect = hermiticity_defect(h)
+    checks = _stored_checks(h)
+    defect = hermiticity_defect(h) if checks is None else checks.defect
     if defect > EIG_HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian (defect {defect:.3e} > {EIG_HERMITICITY_TOL})"
         )
+    if checks is not None:
+        return checks.spectrum[::-1].copy()
     sym = (h + h.conj().T) / 2.0
     return np.linalg.eigvalsh(sym)[::-1].copy()
 
@@ -85,15 +94,48 @@ def require_finite(m):
         raise InvalidStateError(f"matrix has a non-finite entry ({m[~finite][0]})")
 
 
-def _density_checks(m):
-    """What the density-matrix checks read off a finite complex matrix: its
-    Hermiticity defect, its trace error |Tr m - 1| and the smallest
-    eigenvalue of its Hermitian part."""
-    adjoint = m.conj().T
-    defect = float(abs(m - adjoint).max())
-    trace_err = abs(complex(m.trace()) - 1.0)
-    lo = float(np.linalg.eigvalsh((m + adjoint) / 2.0)[0])
-    return defect, trace_err, lo
+class _Checks(NamedTuple):
+    """What the density-matrix checks read off one finite 4x4 matrix."""
+
+    key: bytes
+    defect: float
+    trace_err: float
+    spectrum: np.ndarray  # ascending eigenvalues of the Hermitian part
+    coords: np.ndarray  # <sigma_i (x) sigma_j> at [i, j]
+
+
+# the checks of the last matrix checked; replaced whole, never edited
+_last_checks = None
+
+
+def _stored_checks(m):
+    """The slot's record if it was made from a 4x4 matrix with the bytes of
+    the complex array ``m``, else None."""
+    checks = _last_checks
+    hit = checks is not None and m.shape == (4, 4) and checks.key == m.tobytes()
+    return checks if hit else None
+
+
+def _checks(m):
+    """The checks of a complex 4x4 array, from the slot or made and put
+    there; a non-finite entry raises ``InvalidStateError``, never kept."""
+    global _last_checks
+    checks = _stored_checks(m)
+    if checks is None:
+        require_finite(m)
+        adjoint = m.conj().T
+        spectrum = np.linalg.eigvalsh((m + adjoint) / 2.0)
+        coords = (_COORD @ m.reshape(16)).real.reshape(4, 4)
+        spectrum.flags.writeable = coords.flags.writeable = False
+        checks = _Checks(
+            key=m.tobytes(),
+            defect=float(abs(m - adjoint).max()),
+            trace_err=abs(complex(m.trace()) - 1.0),
+            spectrum=spectrum,
+            coords=coords,
+        )
+        _last_checks = checks
+    return checks
 
 
 def require_density_matrix(rho):
@@ -105,12 +147,12 @@ def require_density_matrix(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    require_finite(rho)
-    defect, trace_err, lo = _density_checks(rho)
-    if defect > HERMITICITY_TOL:
-        raise InvalidStateError(f"matrix is not Hermitian (defect {defect:.3e})")
-    if trace_err > TRACE_TOL:
-        raise InvalidStateError(f"trace differs from 1 by {trace_err:.3e}")
+    checks = _checks(rho)
+    if checks.defect > HERMITICITY_TOL:
+        raise InvalidStateError(f"matrix is not Hermitian (defect {checks.defect:.3e})")
+    if checks.trace_err > TRACE_TOL:
+        raise InvalidStateError(f"trace differs from 1 by {checks.trace_err:.3e}")
+    lo = float(checks.spectrum[0])
     if lo < -PSD_TOL:
         raise InvalidStateError(
             f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})"
@@ -150,7 +192,9 @@ def decompose(rho, check=True):
     rho = np.asarray(rho, dtype=complex)
     if check:
         require_density_matrix(rho)
-    c = (_COORD @ rho.reshape(16)).real.reshape(4, 4)
+        c = _checks(rho).coords.copy()
+    else:
+        c = (_COORD @ rho.reshape(16)).real.reshape(4, 4)
     return PauliDecomposition(x=c[1:, 0], y=c[0, 1:], t=c[1:, 1:])
 
 

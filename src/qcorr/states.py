@@ -51,10 +51,10 @@ def validate(matrix):
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {matrix.shape}")
-    op.require_finite(matrix)
-    defect, trace_err, lo = op._density_checks(matrix)
-    hermitian = defect <= op.HERMITICITY_TOL
-    trace_one = trace_err <= op.TRACE_TOL
+    checks = op._checks(matrix)
+    hermitian = checks.defect <= op.HERMITICITY_TOL
+    trace_one = checks.trace_err <= op.TRACE_TOL
+    lo = float(checks.spectrum[0])
     psd = lo >= -op.PSD_TOL
     in_class = (hermitian and trace_one and psd) and (
         op.decompose(matrix, check=False).max_offdiagonal() <= OFFDIAG_TOL

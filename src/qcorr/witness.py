@@ -94,10 +94,7 @@ def observable_expectations(rho, directions, check=True):
     e1..e3 are the diagonal correlation entries; e4 = z.x + w.y from the
     local Bloch vectors.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
-    decomp = op.decompose(rho, check=False)
+    decomp = op.decompose(rho, check=check)
     c = decomp.diagonal_correlations()
     e4 = float(np.dot(directions.z, decomp.x) + np.dot(directions.w, decomp.y))
     return (float(c[0]), float(c[1]), float(c[2]), e4)
@@ -196,10 +193,7 @@ def witness_value(
     keeps the trial with the largest witness; it never exceeds the
     deterministic value.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
-    decomp = op.decompose(rho, check=False)
+    decomp = op.decompose(rho, check=check)
     _require_in_class(decomp)
     c = decomp.diagonal_correlations()
 

@@ -214,3 +214,22 @@ def test_threads_alternating_two_states_get_sequential_answers():
         for which, answers in records:
             for call, answer in answers.items():
                 _assert_identical(answer, want[which][call])
+
+
+def test_certify_op_solves_three_eigenproblems(monkeypatch):
+    """One certify op solves rho, its partial transpose and t^T t once each."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rho = STATES["in_class"]
+    qcorr.validate(rho)
+    qcorr.witness_value(rho)
+    qcorr.entanglement_report(rho)
+    qcorr.mutual_information(rho)
+    qcorr.witness_via_protocol(rho, shots=1024, seed=3)
+    assert shapes == [(4, 4), (3, 3), (4, 4)]
