@@ -127,13 +127,9 @@ def _checks(m):
         spectrum = np.linalg.eigvalsh((m + adjoint) / 2.0)
         coords = (_COORD @ m.reshape(16)).real.reshape(4, 4)
         spectrum.flags.writeable = coords.flags.writeable = False
-        checks = _Checks(
-            key=m.tobytes(),
-            defect=float(abs(m - adjoint).max()),
-            trace_err=abs(complex(m.trace()) - 1.0),
-            spectrum=spectrum,
-            coords=coords,
-        )
+        defect = float(abs(m - adjoint).max())
+        trace_err = abs(complex(m.trace()) - 1.0)
+        checks = _Checks(m.tobytes(), defect, trace_err, spectrum, coords)
         _last_checks = checks
     return checks
 
@@ -177,7 +173,11 @@ class PauliDecomposition:
 
     def max_offdiagonal(self):
         """Largest |t[i, j]| with i != j."""
-        return float(abs(self.t[_OFFDIAGONAL]).max())
+        return _max_offdiagonal(self.t)
+
+
+def _max_offdiagonal(t):
+    return float(abs(t[_OFFDIAGONAL]).max())
 
 
 def decompose(rho, check=True):

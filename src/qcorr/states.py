@@ -57,7 +57,7 @@ def validate(matrix):
     lo = float(checks.spectrum[0])
     psd = lo >= -op.PSD_TOL
     in_class = (hermitian and trace_one and psd) and (
-        op.decompose(matrix, check=False).max_offdiagonal() <= OFFDIAG_TOL
+        op._max_offdiagonal(checks.coords[1:, 1:]) <= OFFDIAG_TOL
     )
     return StateValidity(
         hermitian=hermitian,
