@@ -37,6 +37,8 @@ def _states():
     }
     for kind in (1, 2, 3, 4):
         found[f"chi{kind}"] = oracles.random_chi_state(rng, kind)
+    # within the 1e-12 tolerances, but not exactly Hermitian
+    found["near_hermitian"] = found["in_class"] + 1e-13 * rng.normal(size=(4, 4))
     for path in sorted(GOLDEN_STATES.glob("*.json")):
         found[f"golden_{path.stem}"] = states.load_state(path)
     return found
@@ -82,6 +84,8 @@ def _fingerprint(result):
     in any bit, -0.0 against 0.0 included."""
     if isinstance(result, op.PauliDecomposition):
         return tuple(a.tobytes() for a in (result.x, result.y, result.t))
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
     if hasattr(result, "to_dict"):
         return repr(result.to_dict())
     return repr(result)
@@ -101,6 +105,33 @@ def test_answer_same_after_other_or_same_state(name, call):
     states.validate(rho.copy())
     _assert_identical(_outcome(call, rho), cold)
     _assert_identical(_outcome(call, rho), cold)
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_stored_check_gives_what_a_fresh_computation_gives(name):
+    rho = STATES[name]
+    other = "ginibre" if name == "werner" else "werner"
+    states.validate(STATES[other])
+    fresh = (
+        op.decompose(rho, check=False),
+        op.eigenvalues_hermitian(rho),
+        qcorr.mutual_information(rho, check=False),
+    )
+    states.validate(rho)
+    stored = (
+        op.decompose(rho),
+        op.eigenvalues_hermitian(rho),
+        qcorr.mutual_information(rho),
+    )
+    for got, want in zip(stored, fresh):
+        assert _fingerprint(got) == _fingerprint(want)
+
+
+def test_stored_check_is_read_only_for_a_4x4_matrix():
+    rho = STATES["werner"]
+    states.validate(rho)
+    with pytest.raises(np.linalg.LinAlgError):
+        op.eigenvalues_hermitian(rho.reshape(16))
 
 
 def _break_hermiticity(m):
@@ -150,13 +181,28 @@ def test_in_place_edit_is_seen(edit):
         _assert_identical(_outcome(call, rho), want)
 
 
-def test_every_edit_changes_validate():
-    base = states.make_werner(0.3)
-    for edit in EDITS.values():
-        edited = base.copy()
-        edit(edited)
-        assert _fingerprint(_cold("validate", edited)) != _fingerprint(
-            _cold("validate", base)
+# the validity flags each edit turns off; a NaN entry raises instead
+EDIT_FAILS = {
+    "break_hermiticity": ["hermitian", "in_diagonal_class"],
+    "trace_1_1": ["trace_one", "in_diagonal_class"],
+    "negative_eigenvalue": ["psd", "in_diagonal_class"],
+    "insert_nan": None,
+    "offdiagonal_correlation": ["in_diagonal_class"],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_each_edit_fails_its_own_check(edit):
+    edited = states.make_werner(0.3)
+    EDITS[edit](edited)
+    got = _cold("validate", edited)
+    if EDIT_FAILS[edit] is None:
+        assert got[:2] == ("raised", "InvalidStateError")
+    else:
+        flags = got.to_dict()
+        assert [k for k in EDIT_FAILS[edit] if not flags[k]] == EDIT_FAILS[edit]
+        assert sum(not v for v in flags.values() if isinstance(v, bool)) == len(
+            EDIT_FAILS[edit]
         )
 
 
