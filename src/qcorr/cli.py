@@ -128,15 +128,15 @@ def cmd_sweep_werner(args):
     werner = np.array([states.make_werner(float(alpha)) for alpha in alphas])
     # one batched basis search for the whole grid
     searches = (
-        corr.classical_correlation(werner, check=False)
+        corr.classical_correlation(werner)
         if args.with_discord
         else [None] * len(werner)
     )
     rows = []
     for alpha, rho, search in zip(alphas, werner, searches):
         report = wit.witness_value(rho)
-        ent_report = ent.entanglement_report(rho, check=False)
-        mutual = corr.mutual_information(rho, check=False)
+        ent_report = ent.entanglement_report(rho)
+        mutual = corr.mutual_information(rho)
         row = {
             "alpha": float(alpha),
             "W": report.value,

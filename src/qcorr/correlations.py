@@ -32,14 +32,14 @@ from .operators import MeasurementBasis
 DISCORD_CLAMP = 1e-8
 
 
-def mutual_information(rho, check=True):
+def mutual_information(rho):
     """Total correlations ``S(rho_a) + S(rho_b) - S(rho)`` in bits; the
     marginal entropies are binary entropies of the Bloch-vector lengths."""
     rho = np.asarray(rho, dtype=complex)
-    decomp = op.decompose(rho, check=check)
+    decomp = op.decompose(rho)
     lengths = np.sqrt([decomp.x @ decomp.x, decomp.y @ decomp.y])
     marginals = _kernel.entropy_of_length(np.minimum(lengths, 1.0))
-    return float(marginals.sum()) - op.von_neumann_entropy(rho, check=False)
+    return float(marginals.sum()) - op.von_neumann_entropy(rho)
 
 
 def _projector4(basis, outcome):
@@ -47,54 +47,52 @@ def _projector4(basis, outcome):
     return np.kron(op.pauli(0), p0 if outcome == 0 else p1)
 
 
-def outcome_probability(rho, basis, outcome, check=True):
+def outcome_probability(rho, basis, outcome):
     """Probability of ``outcome`` (0 or 1) when qubit b is read out in
     ``basis``."""
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
     rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
+    op.require_density_matrix(rho)
     return float(np.trace(_projector4(basis, outcome) @ rho).real)
 
 
-def conditioned_state(rho, basis, outcome, check=True):
+def conditioned_state(rho, basis, outcome):
     """Post-measurement state of qubit a given ``outcome`` on qubit b.
 
     Raises ``ZeroProbabilityOutcomeError`` when the outcome probability is
     at most 1e-12.
     """
     rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
+    op.require_density_matrix(rho)
     proj = _projector4(basis, outcome)
     prob = float(np.trace(proj @ rho).real)
     if prob <= PROB_FLOOR:
         raise ZeroProbabilityOutcomeError(
             f"outcome {outcome} has probability {prob:.3e}"
         )
-    reduced = op.partial_trace(proj @ rho @ proj, "a", check=False)
-    return reduced / prob
+    return op.partial_trace(proj @ rho @ proj, "a") / prob
 
 
-def measured_mutual_information(rho, basis, check=True):
+def measured_mutual_information(rho, basis):
     """Information about qubit a retained after reading qubit b in ``basis``.
 
     ``S(rho_a) - sum_j p_j S(rho_a | outcome j)`` in bits; outcomes with
-    probability at most 1e-12 contribute nothing.  Always in [0, 1].
+    probability at most 1e-12 contribute nothing.  Always in [0, 1].  Each
+    conditional spectrum is that of the unnormalized block divided by p_j,
+    so a small p_j does not magnify the block's rounding.
     """
     rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
-    s_a = op.von_neumann_entropy(op.partial_trace(rho, "a", check=False), check=False)
+    op.require_density_matrix(rho)
+    s_a = op._entropy_bits(op.eigenvalues_hermitian(op.partial_trace(rho, "a")))
     conditional = 0.0
     for outcome in (0, 1):
         proj = _projector4(basis, outcome)
         prob = float(np.trace(proj @ rho).real)
         if prob <= PROB_FLOOR:
             continue
-        reduced = op.partial_trace(proj @ rho @ proj, "a", check=False) / prob
-        conditional += prob * op.von_neumann_entropy(reduced, check=False)
+        block = op.eigenvalues_hermitian(op.partial_trace(proj @ rho @ proj, "a"))
+        conditional += prob * op._entropy_bits(block / prob)
     value = s_a - conditional
     if -1e-10 < value < 0.0:
         value = 0.0
@@ -337,19 +335,14 @@ def _basis_search(x, y, t, max_evals):
     return top[:, _J], top[:, :3], evals
 
 
-def _as_stack(rho, check):
-    """``rho`` as an (N, 4, 4) stack, each state validated when ``check``,
-    and whether a single state was given."""
+def _as_stack(rho):
+    """``rho`` as a stack of states, and whether a single state was given."""
     rho = np.asarray(rho, dtype=complex)
     single = rho.ndim != 3
-    stack = rho[None] if single else rho
-    if check:
-        for state in stack:
-            op.require_density_matrix(state)
-    return stack, single
+    return (rho[None] if single else rho), single
 
 
-def classical_correlation(rho, max_evals=20000, check=True):
+def classical_correlation(rho, max_evals=20000):
     """Maximum measured mutual information over readout bases of qubit b.
 
     The best points of a fixed hemisphere grid start tangent-plane Newton
@@ -358,8 +351,8 @@ def classical_correlation(rho, max_evals=20000, check=True):
     ``OptimizerFailureError`` if no refinement settles within the
     evaluation budget.  A stack of states gives a list of results.
     """
-    stack, single = _as_stack(rho, check)
-    parts = [op.decompose(state, check=False) for state in stack]
+    stack, single = _as_stack(rho)
+    parts = [op.decompose(state) for state in stack]
     j_star, n_star, evals = _basis_search(
         np.array([p.x for p in parts]).reshape(-1, 3),
         np.array([p.y for p in parts]).reshape(-1, 3),
@@ -411,17 +404,17 @@ class DiscordReport:
         }
 
 
-def discord(rho, check=True, **search_options):
+def discord(rho, **search_options):
     """Quantum discord of a two-qubit state under readout of qubit b.
 
     ``D = I - J_star``; values within 1e-8 below zero are clamped to 0.
     Keyword options are forwarded to :func:`classical_correlation`.  A
     stack of states gives a list of reports.
     """
-    stack, single = _as_stack(rho, check)
-    searches = classical_correlation(stack, check=False, **search_options)
+    stack, single = _as_stack(rho)
+    searches = classical_correlation(stack, **search_options)
     reports = [
-        DiscordReport.split(mutual_information(state, check=False), search)
+        DiscordReport.split(mutual_information(state), search)
         for state, search in zip(stack, searches)
     ]
     return reports[0] if single else reports

@@ -24,17 +24,15 @@ CHSH_THRESHOLD_NOTE = (
 )
 
 
-def partial_transpose(rho, subsystem="b", check=True):
-    """Transpose the indices of one qubit.
+def partial_transpose(rho, subsystem="b"):
+    """Transpose the indices of one qubit of a 4x4 matrix.
 
-    The output is Hermitian with unit trace but may have negative
+    An index map: any 4x4 matrix is taken and none is validated.  For a
+    state the output is Hermitian with unit trace but may have negative
     eigenvalues; for two qubits a negative eigenvalue is equivalent to
     entanglement.  The spectra for ``subsystem="a"`` and ``"b"`` coincide.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        op.require_density_matrix(rho)
-    r = rho.reshape(2, 2, 2, 2)
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     if subsystem == "b":
         return r.transpose(0, 3, 2, 1).reshape(4, 4)
     if subsystem == "a":
@@ -42,25 +40,26 @@ def partial_transpose(rho, subsystem="b", check=True):
     raise ValueError(f"subsystem must be 'a' or 'b', got {subsystem!r}")
 
 
-def _pt_spectrum(rho, check):
+def _pt_spectrum(rho):
     """Partial-transpose eigenvalues, descending, and the negativity."""
-    evals = op.eigenvalues_hermitian(partial_transpose(rho, check=check))
+    evals = op.eigenvalues_hermitian(partial_transpose(rho))
     # + 0.0 turns the empty-sum -0.0 into a plain zero
     return evals, float(-np.sum(evals[evals < 0.0]) + 0.0)
 
 
-def negativity(rho, check=True):
+def negativity(rho):
     """Sum of |negative eigenvalues| of the partial transpose."""
-    return _pt_spectrum(rho, check)[1]
+    op.require_density_matrix(rho)
+    return _pt_spectrum(rho)[1]
 
 
-def chsh_maximum(rho, check=True):
+def chsh_maximum(rho):
     """Largest CHSH expectation over measurement directions.
 
     Equals ``2 sqrt(m1 + m2)`` where m1 >= m2 are the two largest
     eigenvalues of ``t^T t`` for the correlation matrix ``t``.
     """
-    t = op.decompose(rho, check=check).t
+    t = op.decompose(rho).t
     m = np.linalg.eigvalsh(t.T @ t)
     return float(2.0 * np.sqrt(max(m[-1] + m[-2], 0.0)))
 
@@ -85,7 +84,7 @@ class EntanglementReport:
         }
 
 
-def entanglement_report(rho, check=True):
+def entanglement_report(rho):
     """Run both entanglement tests on one state.
 
     ``ppt`` is true when the partial transpose has no eigenvalue below
@@ -93,8 +92,8 @@ def entanglement_report(rho, check=True):
     maximum exceeds 2 by more than 1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
-    chsh = chsh_maximum(rho, check=check)
-    evals, neg = _pt_spectrum(rho, check=False)
+    chsh = chsh_maximum(rho)
+    evals, neg = _pt_spectrum(rho)
     lo = float(evals[-1])
     return EntanglementReport(
         min_pt_eigenvalue=lo,

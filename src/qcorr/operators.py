@@ -9,10 +9,13 @@ Hermitian eigensolver and the von Neumann entropy in bits.
 All functions treat states as plain ``numpy.ndarray`` objects and never
 mutate their arguments.
 
-One slot keeps the checks of the last 4x4 matrix checked (Hermiticity
-defect, trace error, spectrum, Pauli coordinates); a later call reuses them
-only for a matrix with the same bytes, so the certify calls on one state
-share one eigensolve and an array edited in place is checked afresh.
+Every function of the package that returns a quantity of a state
+validates that state; ``partial_trace`` and the partial transpose only
+move indices and never do.  One slot keeps the checks of the last 4x4
+matrix checked (Hermiticity defect, trace error, spectrum, Pauli
+coordinates); a later check reuses them only for a matrix with the same
+bytes, so the calls on one state share one eigensolve and an array edited
+in place is checked afresh.
 """
 
 from dataclasses import dataclass
@@ -180,7 +183,7 @@ def _max_offdiagonal(t):
     return float(abs(t[_OFFDIAGONAL]).max())
 
 
-def decompose(rho, check=True):
+def decompose(rho):
     """Expectation-value decomposition of a two-qubit density matrix.
 
     Returns a ``PauliDecomposition`` with
@@ -190,11 +193,8 @@ def decompose(rho, check=True):
     (at most 1e-12 for valid input) are discarded.
     """
     rho = np.asarray(rho, dtype=complex)
-    if check:
-        require_density_matrix(rho)
-        c = _checks(rho).coords.copy()
-    else:
-        c = (_COORD @ rho.reshape(16)).real.reshape(4, 4)
+    require_density_matrix(rho)
+    c = _checks(rho).coords.copy()
     return PauliDecomposition(x=c[1:, 0], y=c[0, 1:], t=c[1:, 1:])
 
 
@@ -220,16 +220,14 @@ def compose(x, y, t):
     return rho / 4.0
 
 
-def partial_trace(rho, keep="a", check=True):
-    """Trace out one qubit of a two-qubit state.
+def partial_trace(rho, keep="a"):
+    """Trace out one qubit of a 4x4 matrix.
 
-    ``keep="a"`` returns the reduced state of the first qubit,
-    ``keep="b"`` the second.
+    ``keep="a"`` returns the reduced matrix of the first qubit, ``keep="b"``
+    the second.  An index map: any 4x4 matrix is taken and none is
+    validated, since the output of a non-state is in general not a state.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        require_density_matrix(rho)
-    r = rho.reshape(2, 2, 2, 2)
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     if keep == "a":
         return np.trace(r, axis1=1, axis2=3)
     if keep == "b":
@@ -237,30 +235,34 @@ def partial_trace(rho, keep="a", check=True):
     raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
 
 
-def von_neumann_entropy(rho, check=True):
+def von_neumann_entropy(rho):
     """von Neumann entropy in bits of a density matrix (any dimension).
 
-    Eigenvalues are clipped to [0, 1] before taking logarithms; zero
-    eigenvalues contribute nothing.  With ``check=True`` the input must be
-    Hermitian with unit trace and eigenvalues above -1e-10.
+    The input must be Hermitian (see :func:`eigenvalues_hermitian`) with
+    unit trace to 1e-10 and eigenvalues above -1e-10.  Eigenvalues are
+    clipped to [0, 1] before taking logarithms; zero eigenvalues contribute
+    nothing.
     """
-    rho = np.asarray(rho, dtype=complex)
     evals = eigenvalues_hermitian(rho)
-    if check:
-        if abs(float(np.sum(evals)) - 1.0) > 1e-10:
-            raise InvalidStateError(
-                f"trace differs from 1 by {abs(float(np.sum(evals)) - 1.0):.3e}"
-            )
-        if evals[-1] < -PSD_TOL:
-            raise InvalidStateError(
-                f"matrix is not positive semidefinite (min eigenvalue {evals[-1]:.3e})"
-            )
+    if abs(float(np.sum(evals)) - 1.0) > 1e-10:
+        raise InvalidStateError(
+            f"trace differs from 1 by {abs(float(np.sum(evals)) - 1.0):.3e}"
+        )
+    if evals[-1] < -PSD_TOL:
+        raise InvalidStateError(
+            f"matrix is not positive semidefinite (min eigenvalue {evals[-1]:.3e})"
+        )
+    return _entropy_bits(evals)
+
+
+def _entropy_bits(evals):
+    """-sum l log2 l over a descending spectrum clipped to [0, 1]."""
     evals = np.clip(evals, 0.0, 1.0)
     nz = evals[evals > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def expectation(rho, observable, check=True):
+def expectation(rho, observable):
     """Expectation value ``Tr(rho O)`` of a Hermitian observable.
 
     The trace of a Hermitian pair is real up to rounding; the imaginary
@@ -268,11 +270,10 @@ def expectation(rho, observable, check=True):
     """
     rho = np.asarray(rho, dtype=complex)
     observable = np.asarray(observable, dtype=complex)
-    if check:
-        require_density_matrix(rho)
-        defect = hermiticity_defect(observable)
-        if defect > EIG_HERMITICITY_TOL:
-            raise ValueError(f"observable is not Hermitian (defect {defect:.3e})")
+    require_density_matrix(rho)
+    defect = hermiticity_defect(observable)
+    if defect > EIG_HERMITICITY_TOL:
+        raise ValueError(f"observable is not Hermitian (defect {defect:.3e})")
     return float(np.trace(rho @ observable).real)
 
 

@@ -88,13 +88,13 @@ def observables(directions):
     return like_axis + (local_sum,)
 
 
-def observable_expectations(rho, directions, check=True):
+def observable_expectations(rho, directions):
     """Expectations (e1, e2, e3, e4) of the four witness observables.
 
     e1..e3 are the diagonal correlation entries; e4 = z.x + w.y from the
     local Bloch vectors.
     """
-    decomp = op.decompose(rho, check=check)
+    decomp = op.decompose(rho)
     c = decomp.diagonal_correlations()
     e4 = float(np.dot(directions.z, decomp.x) + np.dot(directions.w, decomp.y))
     return (float(c[0]), float(c[1]), float(c[2]), e4)
@@ -183,7 +183,6 @@ def witness_value(
     seed=None,
     directions=None,
     tol=ZERO_TOL,
-    check=True,
 ):
     """Evaluate the witness and produce a report.
 
@@ -193,7 +192,7 @@ def witness_value(
     keeps the trial with the largest witness; it never exceeds the
     deterministic value.
     """
-    decomp = op.decompose(rho, check=check)
+    decomp = op.decompose(rho)
     _require_in_class(decomp)
     c = decomp.diagonal_correlations()
 
@@ -244,7 +243,7 @@ def witness_value(
     )
 
 
-def classify(rho, tol=ZERO_TOL, mode="deterministic", check=True, **kwargs):
+def classify(rho, tol=ZERO_TOL, mode="deterministic", **kwargs):
     """Certification verdict for a diagonal-correlation state.
 
     ``ClassicalCertified`` when the witness is at most ``tol``;
@@ -252,4 +251,4 @@ def classify(rho, tol=ZERO_TOL, mode="deterministic", check=True, **kwargs):
     Bell-diagonal (where the witness is also necessary); ``Inconclusive``
     otherwise.
     """
-    return witness_value(rho, mode=mode, tol=tol, check=check, **kwargs).verdict
+    return witness_value(rho, mode=mode, tol=tol, **kwargs).verdict

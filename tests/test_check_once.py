@@ -112,11 +112,10 @@ def test_stored_check_gives_what_a_fresh_computation_gives(name):
     rho = STATES[name]
     other = "ginibre" if name == "werner" else "werner"
     states.validate(STATES[other])
-    fresh = (
-        op.decompose(rho, check=False),
-        op.eigenvalues_hermitian(rho),
-        qcorr.mutual_information(rho, check=False),
-    )
+    fresh = []
+    for call in (op.decompose, op.eigenvalues_hermitian, qcorr.mutual_information):
+        op._last_checks = None
+        fresh.append(call(rho))
     states.validate(rho)
     stored = (
         op.decompose(rho),
@@ -262,8 +261,8 @@ def test_threads_alternating_two_states_get_sequential_answers():
                 _assert_identical(answer, want[which][call])
 
 
-def test_certify_op_solves_three_eigenproblems(monkeypatch):
-    """One certify op solves rho, its partial transpose and t^T t once each."""
+def _count_eigensolves(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.eigvalsh`` from now on."""
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -272,6 +271,12 @@ def test_certify_op_solves_three_eigenproblems(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
+
+
+def test_certify_op_solves_three_eigenproblems(monkeypatch):
+    """One certify op solves rho, its partial transpose and t^T t once each."""
+    shapes = _count_eigensolves(monkeypatch)
     rho = STATES["in_class"]
     qcorr.validate(rho)
     qcorr.witness_value(rho)
@@ -279,3 +284,16 @@ def test_certify_op_solves_three_eigenproblems(monkeypatch):
     qcorr.mutual_information(rho)
     qcorr.witness_via_protocol(rho, shots=1024, seed=3)
     assert shapes == [(4, 4), (3, 3), (4, 4)]
+
+
+def test_discord_of_one_state_solves_it_once(monkeypatch):
+    shapes = _count_eigensolves(monkeypatch)
+    qcorr.discord(STATES["ginibre"])
+    assert shapes == [(4, 4)]
+
+
+def test_classical_correlation_of_a_stack_solves_each_state_once(monkeypatch):
+    stack = np.array([STATES[name] for name in ("ginibre", "werner", "rank2", "chi3")])
+    shapes = _count_eigensolves(monkeypatch)
+    qcorr.classical_correlation(stack)
+    assert shapes == [(4, 4)] * len(stack)

@@ -113,6 +113,27 @@ def test_measured_info_bounds(seed, theta, phi):
     assert -1e-8 <= value <= min(s_a, 1.0) + 1e-8
 
 
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def test_measured_info_of_product_state_read_near_an_unlikely_outcome():
+    # a readout of qubit b along a direction near -b has one outcome of
+    # probability in (1e-12, 1e-6]; its conditional state must not blow
+    # the rounding of the unnormalized block up past the Hermiticity guard
+    rng = np.random.default_rng(1012)
+    small = 0
+    for _ in range(300):
+        a, b = _unit(rng.normal(size=3)), _unit(rng.normal(size=3))
+        rho = states.make_product(rng.uniform(0.0, 1.0) * a, b)
+        tilt = 10.0 ** rng.uniform(-5.5, -3.0)
+        side = _unit(np.cross(b, rng.normal(size=3)))
+        basis = MeasurementBasis.from_bloch(_unit(-np.cos(tilt) * b + np.sin(tilt) * side))
+        small += dc.outcome_probability(rho, basis, 0) <= 1e-6
+        assert abs(dc.measured_mutual_information(rho, basis)) <= 1e-12
+    assert small == 300
+
+
 def test_classical_correlation_singlet():
     result = dc.classical_correlation(states.make_werner(1.0))
     assert abs(result.j_star - 1.0) <= 1e-9

@@ -21,7 +21,7 @@ def test_partial_transpose_explicit():
 
 def test_partial_transpose_involution(rng):
     rho = oracles.random_density_matrix(rng)
-    back = ent.partial_transpose(ent.partial_transpose(rho), check=False)
+    back = ent.partial_transpose(ent.partial_transpose(rho))
     assert np.max(np.abs(back - rho)) <= ATOL
 
 

@@ -1,7 +1,11 @@
-"""What every state quantity gives on malformed and valid input, pinned.
+"""One validation rule: a state quantity validates, an index map never does.
 
 Each of the functions in ``CALLS`` returns a quantity of a two-qubit state,
-so each validates its input.  ``tests/golden/error_table.json`` holds, for
+so each validates its input; ``partial_trace`` and ``partial_transpose``
+only move indices, and take any 4x4 matrix.  No public callable has a
+switch that skips the check.
+
+``tests/golden/error_table.json`` holds, for
 every function and every input in ``INPUTS``, either the type and message
 of the error it raises or its result, with every float written by
 ``repr`` so that a change in any bit shows.
@@ -15,13 +19,17 @@ and the diff of ``error_table.json`` then shows what moved.
 
 import dataclasses
 import enum
+import importlib
+import inspect
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcorr
 from qcorr import correlations as corr
 from qcorr import entanglement as ent
 from qcorr import nmr, states
@@ -133,12 +141,24 @@ def _table():
     return json.loads(TABLE.read_text(encoding="utf-8"))
 
 
+# takes each conditional spectrum from the unnormalized block divided by
+# p, where the table was recorded dividing the block first: its values may
+# move by rounding, its errors may not
+REROUNDED = {"measured_mutual_information": 1e-15}
+
+
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_state_quantity_outcomes_unchanged(call):
     want = _table()[call]
     assert sorted(want) == sorted(INPUTS)
     for name in INPUTS:
-        assert outcome(call, name) == want[name], name
+        got = outcome(call, name)
+        if call in REROUNDED and "value" in want[name]:
+            assert "value" in got, name
+            gap = abs(float(got["value"]) - float(want[name]["value"]))
+            assert gap <= REROUNDED[call], name
+        else:
+            assert got == want[name], name
 
 
 # invalid inputs that give a value instead of an error: the entropy takes
@@ -158,6 +178,57 @@ def test_every_invalid_input_raises():
                 call,
                 name,
             )
+
+
+def test_index_maps_permute_any_matrix():
+    m = np.random.default_rng(3075).normal(size=(4, 4, 2)) @ np.array([1.0, 1.0j])
+    e = m.reshape(2, 2, 2, 2)  # e[i, j, k, l] = m[2 i + j, 2 k + l]
+    traced = {"a": np.zeros((2, 2), complex), "b": np.zeros((2, 2), complex)}
+    transposed = {"a": np.zeros((4, 4), complex), "b": np.zeros((4, 4), complex)}
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        if j == l:
+            traced["a"][i, k] += e[i, j, k, l]
+        if i == k:
+            traced["b"][j, l] += e[i, j, k, l]
+        transposed["a"][2 * i + j, 2 * k + l] = e[k, j, i, l]
+        transposed["b"][2 * i + j, 2 * k + l] = e[i, l, k, j]
+    for side in ("a", "b"):
+        assert np.array_equal(op.partial_trace(m, side), traced[side])
+        assert np.array_equal(ent.partial_transpose(m, side), transposed[side])
+
+
+def _public_callables():
+    modules = [qcorr] + [
+        importlib.import_module(f"qcorr.{info.name}")
+        for info in pkgutil.iter_modules(qcorr.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            if not getattr(obj, "__module__", "").startswith("qcorr"):
+                continue
+            yield f"{module.__name__}.{name}", obj
+            if inspect.isclass(obj):
+                for attr in vars(obj):
+                    member = getattr(obj, attr)
+                    if not attr.startswith("_") and callable(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_public_callable_has_a_check_parameter():
+    found = dict(_public_callables())
+    assert "qcorr.operators.decompose" in found
+    assert "qcorr.operators.MeasurementBasis.from_bloch" in found
+    assert [name for name, obj in found.items() if _has_check(obj)] == []
+
+
+def _has_check(obj):
+    try:
+        return "check" in inspect.signature(obj).parameters
+    except (TypeError, ValueError):
+        return False
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
