@@ -32,7 +32,7 @@ def partial_transpose(rho, subsystem="b"):
     eigenvalues; for two qubits a negative eigenvalue is equivalent to
     entanglement.  The spectra for ``subsystem="a"`` and ``"b"`` coincide.
     """
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    r = op._matrix4(rho).reshape(2, 2, 2, 2)
     if subsystem == "b":
         return r.transpose(0, 3, 2, 1).reshape(4, 4)
     if subsystem == "a":

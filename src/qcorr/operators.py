@@ -137,16 +137,21 @@ def _checks(m):
     return checks
 
 
+def _matrix4(m):
+    """``m`` as a complex array; ``InvalidStateError`` unless it is 4x4."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise InvalidStateError(f"expected a 4x4 matrix, got shape {m.shape}")
+    return m
+
+
 def require_density_matrix(rho):
     """Raise ``InvalidStateError`` unless ``rho`` is a valid 4x4 density matrix.
 
     Valid means finite, Hermitian to 1e-12, unit trace to 1e-12 and positive
     semidefinite with eigenvalues no lower than -1e-10.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    checks = _checks(rho)
+    checks = _checks(_matrix4(rho))
     if checks.defect > HERMITICITY_TOL:
         raise InvalidStateError(f"matrix is not Hermitian (defect {checks.defect:.3e})")
     if checks.trace_err > TRACE_TOL:
@@ -227,7 +232,7 @@ def partial_trace(rho, keep="a"):
     the second.  An index map: any 4x4 matrix is taken and none is
     validated, since the output of a non-state is in general not a state.
     """
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    r = _matrix4(rho).reshape(2, 2, 2, 2)
     if keep == "a":
         return np.trace(r, axis1=1, axis2=3)
     if keep == "b":

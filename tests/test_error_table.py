@@ -35,6 +35,7 @@ from qcorr import entanglement as ent
 from qcorr import nmr, states
 from qcorr import operators as op
 from qcorr import witness as wit
+from qcorr.exceptions import InvalidStateError
 
 TABLE = Path(__file__).parent / "golden" / "error_table.json"
 GOLDEN_STATES = Path(__file__).parent / "golden" / "states"
@@ -195,6 +196,14 @@ def test_index_maps_permute_any_matrix():
     for side in ("a", "b"):
         assert np.array_equal(op.partial_trace(m, side), traced[side])
         assert np.array_equal(ent.partial_transpose(m, side), transposed[side])
+
+
+@pytest.mark.parametrize("index_map", [op.partial_trace, ent.partial_transpose])
+@pytest.mark.parametrize("shape", [(16,), (2, 8), (2, 2)])
+def test_index_maps_take_only_4x4_matrices(index_map, shape):
+    message = rf"expected a 4x4 matrix, got shape \({shape[0]},"
+    with pytest.raises(InvalidStateError, match=message):
+        index_map(np.ones(shape) / 4.0)
 
 
 def _public_callables():
