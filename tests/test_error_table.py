@@ -226,18 +226,18 @@ def _public_callables():
                         yield f"{module.__name__}.{name}.{attr}", member
 
 
+def _has_check(obj):
+    try:
+        return "check" in inspect.signature(obj).parameters
+    except (TypeError, ValueError):  # no signature to read
+        return False
+
+
 def test_no_public_callable_has_a_check_parameter():
     found = dict(_public_callables())
     assert "qcorr.operators.decompose" in found
     assert "qcorr.operators.MeasurementBasis.from_bloch" in found
     assert [name for name, obj in found.items() if _has_check(obj)] == []
-
-
-def _has_check(obj):
-    try:
-        return "check" in inspect.signature(obj).parameters
-    except (TypeError, ValueError):
-        return False
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
