@@ -246,8 +246,11 @@ def von_neumann_entropy(rho):
     The input must be Hermitian (see :func:`eigenvalues_hermitian`) with
     unit trace to 1e-10 and eigenvalues above -1e-10.  Eigenvalues are
     clipped to [0, 1] before taking logarithms; zero eigenvalues contribute
-    nothing.
+    nothing.  A NaN or infinite entry raises ``InvalidStateError``.
     """
+    rho = np.asarray(rho, dtype=complex)
+    if _stored_checks(rho) is None:
+        require_finite(rho)
     evals = eigenvalues_hermitian(rho)
     if abs(float(np.sum(evals)) - 1.0) > 1e-10:
         raise InvalidStateError(
