@@ -176,6 +176,10 @@ def test_optimizer_failure_budget(rng):
     for budget in (300, 100):
         with pytest.raises(OptimizerFailureError):
             dc.classical_correlation(rho, max_evals=budget)
+    # Luo's closed form spends three evaluations
+    assert dc.classical_correlation(states.make_werner(0.5), max_evals=3).evals == 3
+    with pytest.raises(OptimizerFailureError):
+        dc.classical_correlation(states.make_werner(0.5), max_evals=2)
 
 
 # Closed forms against the search: the search can never beat the optimum,
@@ -192,7 +196,18 @@ def test_classical_correlation_matches_koashi_winter(rng):
         assert exact - result.j_star <= EXACT_GAP
 
 
+# like-axis correlations of the four Bell states, the tetrahedron's vertices
+BELL_SIGNS = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], float)
+
+
+def _bell_states():
+    h = np.sqrt(0.5)
+    kets = [[h, 0, 0, h], [h, 0, 0, -h], [0, h, h, 0], [0, h, -h, 0]]
+    return [np.outer(k, k).astype(complex) for k in kets]
+
+
 def test_classical_correlation_matches_luo(rng):
+    # Bell-diagonal input takes Luo's closed form: three axis readouts
     cs = [
         op.decompose(oracles.random_bell_diagonal(rng)).diagonal_correlations()
         for _ in range(60)
@@ -200,11 +215,40 @@ def test_classical_correlation_matches_luo(rng):
     # degenerate landscapes: constant (Werner), a circle of maxima, one axis
     for a in np.linspace(0.1, 1.0, 10):
         cs += [np.full(3, -a), np.array([-a, -a, -0.3 * a]) / 2, np.array([a, 0, 0])]
-    rhos = np.array([states.make_bell_diagonal(c) for c in cs])
-    for c, result in zip(cs, dc.classical_correlation(rhos)):
+    # points on the tetrahedron's edges and faces: one or two zero eigenvalues
+    for _ in range(20):
+        i, j, k = rng.permutation(4)[:3]
+        u, w = rng.uniform(size=2)
+        edge = (1.0 - u) * BELL_SIGNS[i] + u * BELL_SIGNS[j]
+        cs += [edge, w * edge + (1.0 - w) * BELL_SIGNS[k]]
+    rhos = [states.make_bell_diagonal(c) for c in cs] + _bell_states()
+    cs += list(BELL_SIGNS)
+    for c, result in zip(cs, dc.classical_correlation(np.array(rhos))):
         exact = oracles.luo_classical_correlation(c)
         assert result.j_star <= exact + 1e-12
         assert exact - result.j_star <= EXACT_GAP
+        axis = np.argmax(np.abs(result.basis.bloch()))
+        assert abs(result.basis.bloch()[axis]) == pytest.approx(1.0, abs=1e-15)
+        assert abs(c[axis]) == np.max(np.abs(c))
+        assert result.evals == 3
+
+
+def test_mixed_stack_matches_single_states(rng):
+    rhos = [
+        states.make_werner(0.6),
+        oracles.random_density_matrix(rng),
+        states.make_bell_diagonal([0.1, -0.5, 0.3]),
+        oracles.random_rank2_state(rng),
+    ]
+    stack = dc.discord(np.array(rhos))
+    assert [r.evals == 3 for r in stack] == [True, False, True, False]
+    assert repr(stack) == repr([dc.discord(rho) for rho in rhos])
+
+
+def test_nearly_bell_diagonal_state_takes_the_search():
+    rho = states.make_general([1e-300, 0.0, 0.0], np.zeros(3), [0.3, -0.2, 0.1])
+    assert op.decompose(rho).x[0] != 0.0
+    assert dc.classical_correlation(rho).evals > 3
 
 
 # (1 - eps) |psi><psi| + eps rho' for these eps: the basis search once

@@ -80,7 +80,8 @@ STACK = [0, 8, 13, 20, 27, 33]
 
 
 def _report(report):
-    return {k: repr(v) if isinstance(v, float) else v for k, v in report.to_dict().items()}
+    record = report.to_dict()
+    return {k: repr(v) if isinstance(v, float) else v for k, v in record.items()}
 
 
 def _records():
