@@ -306,7 +306,7 @@ def _basis_search(x, y, t, max_evals):
     x, y, t = x[rest], y[rest], t[rest]
     grid = np.empty((rest.size, _GRID_THETAS.size, _GRID_PHIS.size))
     _kernel.measured_info_grid(x, y, t, _GRID_THETAS, _GRID_PHIS, grid)
-    spent = np.full(rest.size, first)
+    used = np.full(rest.size, first)
     # kernel broadcasting: states, starts, candidates, stencil points
     x, y, t = x[:, None, None, None], y[:, None, None, None], t[:, None, None, None]
     starts = _GRID_N[_pick_starts(grid.reshape(rest.size, _GRID_N.shape[0]))]
@@ -317,12 +317,12 @@ def _basis_search(x, y, t, max_evals):
     chart, candidates = np.empty(starts.shape), np.empty(starts.shape[:2] + (2, 3))
     while True:
         running = active.any(axis=1)
-        out = running & (spent + per_iteration > max_evals)
-        active[out] = False
-        running &= ~out
+        spent = running & (used + per_iteration > max_evals)
+        active[spent] = False
+        running &= ~spent
         if not running.any():
             break
-        spent[running] += per_iteration
+        used[running] += per_iteration
         frame = state[..., :_J].reshape(state.shape[:-1] + (3, 3))
         d = state[..., _J:]
         a, b = _newton_steps(d, longest)
@@ -366,7 +366,7 @@ def _basis_search(x, y, t, max_evals):
             f"basis search did not converge within {max_evals} evaluations{where}"
         )
     top = state[np.arange(rest.size), state[..., _J].argmax(axis=1)]
-    j_star[rest], n_star[rest], evals[rest] = top[:, _J], top[:, :3], spent
+    j_star[rest], n_star[rest], evals[rest] = top[:, _J], top[:, :3], used
     return j_star, n_star, evals
 
 
