@@ -245,9 +245,24 @@ def test_mixed_stack_matches_single_states(rng):
     assert repr(stack) == repr([dc.discord(rho) for rho in rhos])
 
 
-def test_nearly_bell_diagonal_state_takes_the_search():
-    rho = states.make_general([1e-300, 0.0, 0.0], np.zeros(3), [0.3, -0.2, 0.1])
-    assert op.decompose(rho).x[0] != 0.0
+_C = [[0.3, 0.0, 0.0], [0.0, -0.2, 0.0], [0.0, 0.0, 0.1]]
+_C_XZ = [[0.3, 0.0, 1e-300], [0.0, -0.2, 0.0], [0.0, 0.0, 0.1]]
+
+
+@pytest.mark.parametrize(
+    "x, y, t",
+    [
+        ([1e-300, 0, 0], [0, 0, 0], _C),
+        ([0, 0, 0], [0, 1e-300, 0], _C),
+        ([0, 0, 0], [0, 0, 0], _C_XZ),
+    ],
+)
+def test_nearly_bell_diagonal_state_takes_the_search(x, y, t):
+    # one coordinate 1e-300 off Bell-diagonal still reads nonzero after
+    # decompose, so the state is searched
+    rho = op.compose(x, y, t)
+    d = op.decompose(rho)
+    assert d.x.any() or d.y.any() or (d.t != np.diag(np.diag(d.t))).any()
     assert dc.classical_correlation(rho).evals > 3
 
 
