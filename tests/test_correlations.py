@@ -182,6 +182,38 @@ def test_optimizer_failure_budget(rng):
         dc.classical_correlation(states.make_werner(0.5), max_evals=2)
 
 
+def test_optimizer_failure_names_the_stack_positions_that_failed():
+    # the two Bell-diagonal states take the closed form within the budget;
+    # the two searched states run out of it, and the message gives their
+    # positions in the stack
+    rng = np.random.default_rng(400)
+    rhos = [
+        states.make_werner(0.6),
+        oracles.random_density_matrix(rng),
+        states.make_bell_diagonal([0.1, -0.5, 0.3]),
+        oracles.random_density_matrix(rng),
+    ]
+    with pytest.raises(OptimizerFailureError) as failure:
+        dc.classical_correlation(np.array(rhos), max_evals=400)
+    assert str(failure.value) == (
+        "basis search did not converge within 400 evaluations for states [1, 3]"
+    )
+
+
+def test_start_separation_mask_matches_its_definition():
+    # two grid points are distinct starts when both n - m and n + m are
+    # longer than the separation
+    n = dc._GRID_N
+    far = (
+        np.minimum(
+            np.linalg.norm(n[:, None] - n[None], axis=-1),
+            np.linalg.norm(n[:, None] + n[None], axis=-1),
+        )
+        > dc._START_SEPARATION
+    )
+    assert np.array_equal(dc._FAR, far)
+
+
 # Closed forms against the search: the search can never beat the optimum,
 # and it gets within EXACT_GAP of it, a bound that the Nelder-Mead search
 # this one replaced also met on these states.

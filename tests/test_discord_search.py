@@ -1,7 +1,8 @@
 """Golden record of the basis search on states that are not Bell-diagonal.
 
-``tests/golden/discord_search.json`` holds, for each seeded state below and
-for one stack of six of them, the ``discord`` report with every float
+``tests/golden/discord_search.json`` holds, for each seeded state below,
+for one stack of six of them and for one stack of all of them, the
+``discord`` report with every float
 written by ``repr``: I, J*, D, the readout angles and the evaluation
 count.  The search's iterates set every one of these, so an edit that
 changes any floating-point operation of the search, or its order, shows
@@ -84,12 +85,15 @@ def _report(report):
     return {k: repr(v) if isinstance(v, float) else v for k, v in record.items()}
 
 
+def _stack_reports(indices):
+    return [_report(r) for r in dc.discord(np.array([STATES[i][1] for i in indices]))]
+
+
 def _records():
     return {
         "states": {label: _report(dc.discord(rho)) for label, rho in STATES},
-        "stack": [
-            _report(r) for r in dc.discord(np.array([STATES[i][1] for i in STACK]))
-        ],
+        "stack": _stack_reports(STACK),
+        "stack_all": _stack_reports(range(len(STATES))),
     }
 
 
@@ -112,8 +116,14 @@ def test_search_record_unchanged(index):
 
 
 def test_stack_search_record_unchanged():
-    stack = np.array([STATES[i][1] for i in STACK])
-    assert [_report(r) for r in dc.discord(stack)] == _recorded()["stack"]
+    assert _stack_reports(STACK) == _recorded()["stack"]
+
+
+def test_stack_of_all_states_matches_their_single_records():
+    # every state searched in one pass gives the bits it gives alone
+    recorded = _recorded()
+    assert _stack_reports(range(len(STATES))) == recorded["stack_all"]
+    assert recorded["stack_all"] == list(recorded["states"].values())
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

@@ -68,6 +68,16 @@ def test_generic_discord_reaches_the_kernel_through_its_hooks(monkeypatch):
     assert calls["measured_info"] >= 2
 
 
+def test_generic_discord_counts_evaluations_per_kernel_call(monkeypatch):
+    # the grid (168 directions) and the start probes (3 starts x 15 stencil
+    # points), then 90 evaluations (3 starts x 2 candidates x 15) per round,
+    # one measured_info call each
+    rho = oracles.random_density_matrix(np.random.default_rng(7))
+    calls = _kernel_calls(monkeypatch, rho)
+    rounds = calls["measured_info"] - 1
+    assert correlations.discord(rho).evals == 168 + 45 + 90 * rounds
+
+
 def test_bell_diagonal_discord_makes_one_kernel_call(monkeypatch):
     calls = _kernel_calls(monkeypatch, states.make_bell_diagonal([0.2, -0.6, 0.3]))
     assert calls == {"measured_info": 1, "measured_info_grid": 0}
