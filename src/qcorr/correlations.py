@@ -130,13 +130,9 @@ _GRID_N = np.stack(
 ).reshape(-1, 3)
 # grid points that are distinct starts: more than this apart, n ~ -n
 _START_SEPARATION = 0.5
-_FAR = (
-    np.minimum(
-        np.linalg.norm(_GRID_N[:, None] - _GRID_N[None], axis=-1),
-        np.linalg.norm(_GRID_N[:, None] + _GRID_N[None], axis=-1),
-    )
-    > _START_SEPARATION
-)
+# |n - m|^2 = 2 - 2 n.m for unit vectors, so the nearer of m and -m is
+# 2 - 2 |n.m| away, squared
+_FAR = 2.0 - 2.0 * np.abs(_GRID_N @ _GRID_N.T) > _START_SEPARATION**2
 _STARTS = 3
 
 # finite-difference steps: a short one for the gradient, which fixes where
@@ -222,13 +218,18 @@ def _frames(n):
     return frames
 
 
-def _probe(x, y, t, n):
-    """Frame and stencil derivatives of J at the unit vectors ``n``, packed
-    as (..., 16); one kernel call for all of them."""
+def _probe(coords, n):
+    """Frame and stencil derivatives of J at the unit vectors ``n`` (rows,
+    ..., 3), packed as (rows, ..., 16); one kernel call for all of them."""
     frames = _frames(n)
-    values = _kernel.measured_info(x, y, t, _STENCIL_COEF @ frames)
+    points = (_STENCIL_COEF @ frames).reshape(len(n), -1, 3)
+    values = _kernel.measured_info(*coords, points)
     return np.concatenate(
-        [frames.reshape(n.shape[:-1] + (9,)), values @ _DERIV], axis=-1
+        [
+            frames.reshape(n.shape[:-1] + (9,)),
+            values.reshape(n.shape[:-1] + (len(_STENCIL),)) @ _DERIV,
+        ],
+        axis=-1,
     )
 
 
@@ -280,16 +281,16 @@ def _basis_search(x, y, t, max_evals):
     J*, the maximizing unit vectors and the evaluations spent, per state.
     A Bell-diagonal state (x = y = 0 and t diagonal, exactly) is read along
     the three axes only, as an axis of its largest |t_kk| is optimal (Luo,
-    PRA 77, 042303, 2008); the other states are searched together.  Raises
-    ``OptimizerFailureError`` for states none of whose starts settled
-    within ``max_evals`` evaluations.
+    PRA 77, 042303, 2008); the other states are searched together, one row
+    per (state, start).  Raises ``OptimizerFailureError`` for states none
+    of whose starts settled within ``max_evals`` evaluations.
     """
     count = len(x)
     off = t.reshape(count, 9)[:, _OFF_DIAGONAL]
     bell = ~(x.any(axis=1) | y.any(axis=1) | off.any(axis=1))
     rest = np.flatnonzero(~bell)
     first = _GRID_N.shape[0] + _STARTS * len(_STENCIL)
-    per_iteration = 2 * _STARTS * len(_STENCIL)
+    per_round = 2 * _STARTS * len(_STENCIL)
     if (first if rest.size else len(_AXES)) > max_evals:
         raise OptimizerFailureError(
             f"basis search did not converge within {max_evals} evaluations"
@@ -306,67 +307,74 @@ def _basis_search(x, y, t, max_evals):
     x, y, t = x[rest], y[rest], t[rest]
     grid = np.empty((rest.size, _GRID_THETAS.size, _GRID_PHIS.size))
     _kernel.measured_info_grid(x, y, t, _GRID_THETAS, _GRID_PHIS, grid)
-    used = np.full(rest.size, first)
-    # kernel broadcasting: states, starts, candidates, stencil points
-    x, y, t = x[:, None, None, None], y[:, None, None, None], t[:, None, None, None]
-    starts = _GRID_N[_pick_starts(grid.reshape(rest.size, _GRID_N.shape[0]))]
-    state = _probe(x, y, t, starts[:, :, None])[:, :, 0]
-    active = np.ones(starts.shape[:2], dtype=bool)
-    settled = np.zeros_like(active)
-    longest = np.full(starts.shape[:2], _MAX_STEP)
-    chart, candidates = np.empty(starts.shape), np.empty(starts.shape[:2] + (2, 3))
-    while True:
-        running = active.any(axis=1)
-        spent = running & (used + per_iteration > max_evals)
-        active[spent] = False
-        running &= ~spent
-        if not running.any():
-            break
-        used[running] += per_iteration
-        frame = state[..., :_J].reshape(state.shape[:-1] + (3, 3))
-        d = state[..., _J:]
+    # row s * _STARTS + k is start k of state s; it carries its state's
+    # coordinates with an axis of length 1, along which the kernel reads
+    # the row's stencil points
+    owner = np.repeat(np.arange(rest.size), _STARTS)
+    coords = (x[owner, None], y[owner, None], t[owner, None])
+    picks = _pick_starts(grid.reshape(rest.size, _GRID_N.shape[0]))
+    state = _probe(coords, _GRID_N[picks.reshape(-1, 1)])[:, 0]
+    # the rows still running, by index; a row that stops leaves its final
+    # state, whether it settled and the rounds it ran
+    rows = np.arange(len(state))
+    final, ran = np.empty_like(state), np.zeros(len(state), dtype=int)
+    settled = np.zeros(len(state), dtype=bool)
+    longest = np.full(len(state), _MAX_STEP)
+    # every running state has spent first + per_round * rounds evaluations
+    rounds = 0
+    for rounds in range(1, (max_evals - first) // per_round + 1):
+        frame = state[:, :_J].reshape(-1, 3, 3)
+        d = state[:, _J:]
         a, b = _newton_steps(d, longest)
         r = np.hypot(a, b)
         # np.sinc(r / pi), by its own arithmetic
         u = np.pi * (r / np.pi)
         u = np.where(u, u, _EPS)
         sinc = np.sin(u) / u
-        chart[..., 0] = np.cos(r)
-        np.multiply(sinc, a, out=chart[..., 1])
-        np.multiply(sinc, b, out=chart[..., 2])
-        candidates[..., 0, :] = np.einsum("...k,...kj->...j", chart, frame)
+        chart, candidates = np.empty((len(r), 3)), np.empty((len(r), 2, 3))
+        chart[:, 0] = np.cos(r)
+        np.multiply(sinc, a, out=chart[:, 1])
+        np.multiply(sinc, b, out=chart[:, 2])
+        candidates[:, 0] = np.einsum("...k,...kj->...j", chart, frame)
         # grad J = g_radial n + g1 e1 + g2 e2
-        grad = np.einsum("...k,...kj->...j", d[..., _GRAD], frame)
+        grad = np.einsum("...k,...kj->...j", d[:, _GRAD], frame)
         norm = np.sqrt((grad * grad).sum(axis=-1, keepdims=True))
-        candidates[..., 1, :] = np.where(
-            norm > 0.0, grad / np.where(norm > 0.0, norm, 1.0), frame[..., 0, :]
+        candidates[:, 1] = np.where(
+            norm > 0.0, grad / np.where(norm > 0.0, norm, 1.0), frame[:, 0]
         )
-        probes = _probe(x, y, t, candidates)
-        rise = probes[..., _J] > state[..., None, _J]
-        newton_rose = rise[..., 0]
-        new = np.where(newton_rose[..., None], probes[..., 0, :], probes[..., 1, :])
-        moved = active & (newton_rose | rise[..., 1])
-        step = np.sqrt(((new[..., :3] - state[..., :3]) ** 2).sum(axis=-1))
-        gain = new[..., _J] - state[..., _J]
-        # the Newton step's gain to first order
-        promised = d[..., 1] * a + d[..., 2] * b
-        done = active & np.where(
-            moved,
-            (step <= _STEP_TOL) | (gain <= _GAIN_TOL),
-            (r <= _STEP_TOL) | (promised <= _GAIN_TOL),
+        probes = _probe(coords, candidates)
+        rise = probes[:, :, _J] > state[:, None, _J]
+        newton_rose = rise[:, 0]
+        moved = newton_rose | rise[:, 1]
+        new = np.where(newton_rose[:, None], probes[:, 0], probes[:, 1])
+        # a row that moved stops on a short step or a small gain; one that
+        # did not, on a short Newton step or a small first-order promise
+        step = np.sqrt(((new[:, :3] - state[:, :3]) ** 2).sum(axis=1))
+        done = np.where(moved, step, r) <= _STEP_TOL
+        done |= (
+            np.where(moved, new[:, _J] - state[:, _J], d[:, 1] * a + d[:, 2] * b)
+            <= _GAIN_TOL
         )
         longest = np.where(newton_rose, _MAX_STEP, _SHRINK * r)
-        state = np.where(moved[..., None], new, state)
-        settled |= done
-        active &= ~done
-    failed = rest[~settled.any(axis=1)]
+        state = np.where(moved[:, None], new, state)
+        if done.any():
+            stopped, keep = rows[done], ~done
+            final[stopped], ran[stopped], settled[stopped] = state[done], rounds, True
+            rows, state, longest = rows[keep], state[keep], longest[keep]
+            coords = tuple(c[keep] for c in coords)
+            if not rows.size:
+                break
+    final[rows], ran[rows] = state, rounds
+    failed = rest[~settled.reshape(-1, _STARTS).any(axis=1)]
     if failed.size:
         where = "" if count == 1 else f" for states {failed.tolist()}"
         raise OptimizerFailureError(
             f"basis search did not converge within {max_evals} evaluations{where}"
         )
-    top = state[np.arange(rest.size), state[..., _J].argmax(axis=1)]
-    j_star[rest], n_star[rest], evals[rest] = top[:, _J], top[:, :3], used
+    final = final.reshape(rest.size, _STARTS, -1)
+    top = final[np.arange(rest.size), final[..., _J].argmax(axis=1)]
+    j_star[rest], n_star[rest] = top[:, _J], top[:, :3]
+    evals[rest] = first + per_round * ran.reshape(-1, _STARTS).max(axis=1)
     return j_star, n_star, evals
 
 
