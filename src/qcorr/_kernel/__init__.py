@@ -2,11 +2,16 @@
 
 For a state with expectation coordinates (x, y, t) (see
 ``operators.decompose``), reading qubit b with the two-outcome measurement
-``(id +- n . sigma) / 2`` gives outcome probabilities ``(1 +- y.n)/2`` and
-conditioned Bloch vectors ``(x +- t n)/(1 +- y.n)`` for qubit a, so the
-information the readout leaves about qubit a is a difference of binary
-entropies of Bloch-vector lengths.  A unit ``n`` is a projective readout;
-a shorter one an unsharp readout, over which the function is convex.
+``(id +- n . sigma) / 2`` gives outcome probabilities ``q = (1 +- y.n)/2``
+and conditioned Bloch vectors ``(x +- t n) / 2q`` for qubit a.  A unit
+``n`` is a projective readout; a shorter one an unsharp readout, over
+which the function is convex.  J is the entropy ``g(1, |x|)`` of qubit a
+less the perspectives of the binary entropy h at ``L = |x +- t n| / 2``,
+``q h(L / q) = g(q, L) = f(q) - f((q + L) / 2) - f((q - L) / 2)`` with
+``f(v) = v log2 v``: nine terms, none above 0.54 in size, after one matrix
+product affine in n.  Outcomes with ``q`` at most ``PROB_FLOOR`` add
+nothing, ``L`` is clamped to at most ``q``, and the map of the last states
+read is kept for the next call.
 
 Both functions broadcast over leading axes of ``x`` (shape ``(..., 3)``),
 ``y`` (``(..., 3)``) and ``t`` (``(..., 3, 3)``), so a stack of states is
@@ -19,8 +24,14 @@ import numpy as np
 PROB_FLOOR = 1e-12
 # stands in for 0 inside v log v, where the limit is 0
 _TINY = 1e-300
-# the two readout outcomes, on a trailing axis
-_SIGNS = np.array([1.0, -1.0])
+# (q, u) of qubit a alone, outcome + and outcome -, from [[1, y], [x, t]]
+_PARTS = np.array([[1.0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, -0.5, -0.5]])
+# (q, L) of the parts -> the arguments (q, (q + L) / 2, (q - L) / 2) of f
+_ARGS = np.kron([[1.0, 0.0], [0.5, 0.5], [0.5, -0.5]], np.eye(3))
+_SIGNS = np.outer([1.0, -1.0, -1.0], [1.0, -1.0, -1.0]).reshape(9)
+# the last map built (never edited) and its key, the shapes and bytes of
+# its (x, y, t)
+_last_affine = None, None
 
 
 def _xlog2x(v):
@@ -35,58 +46,61 @@ def entropy_of_length(r):
     return -(_xlog2x(0.5 + half) + _xlog2x(0.5 - half))
 
 
-def _info(x, y, t, n):
-    yn = np.einsum("...j,...j->...", y, n)
-    tn = np.einsum("...ij,...j->...i", t, n)
-    # twice the outcome probabilities, and the unnormalized conditioned
-    # Bloch vectors, with the outcome on the last axis
-    p2 = 1.0 + yn[..., None] * _SIGNS
-    v = x[..., None, :] + _SIGNS[:, None] * tn[..., None, :]
-    live = p2 > 2.0 * PROB_FLOOR
-    length = np.sqrt(np.einsum("...j,...j->...", v, v)) / np.where(live, p2, 1.0)
-    conditional = 0.5 * np.einsum(
-        "...k,...k->...",
-        np.where(live, p2, 0.0),
-        entropy_of_length(np.minimum(length, 1.0)),
-    )
-    x_length = np.sqrt(np.einsum("...j,...j->...", x, x))
-    marginal = entropy_of_length(np.minimum(x_length, 1.0))
-    return marginal - conditional
+def _affine(x, y, t):
+    """The (..., 12, 4) map (1, n) -> (q, u) of the parts; row ``3 c + k``
+    is component c of (q, u) in part k."""
+    global _last_affine
+    key = (x.shape, y.shape, t.shape, x.tobytes(), y.tobytes(), t.tobytes())
+    last_key, last = _last_affine
+    if last_key == key:
+        return last
+    shape = np.broadcast(x[..., 0], y[..., 0], t[..., 0, 0]).shape
+    a = np.empty(shape + (4, 4))
+    a[..., 0, 0], a[..., 0, 1:], a[..., 1:, 0], a[..., 1:, 1:] = 1.0, y, x, t
+    a = (a[..., None, :] * _PARTS).reshape(shape + (12, 4))
+    _last_affine = key, a
+    return a
+
+
+def _info(n, affine):
+    """J at the directions ``n`` (..., points, 3) for states whose
+    (..., 12, 4) maps broadcast against them."""
+    columns = np.empty(n.shape[:-2] + (4, n.shape[-2]))
+    columns[..., 0, :], columns[..., 1:, :] = 1.0, n.swapaxes(-1, -2)
+    parts = affine @ columns
+    q, u = parts[..., :3, :], parts[..., 3:, :]
+    q_length = np.empty(parts.shape[:-2] + (6, parts.shape[-1]))
+    np.multiply(q, q > PROB_FLOOR, out=q_length[..., :3, :])
+    length = q_length[..., 3:, :]
+    u = u.reshape(u.shape[:-2] + (3,) + length.shape[-2:])
+    np.sqrt(np.einsum("...ckp,...ckp->...kp", u, u), out=length)
+    np.minimum(length, q_length[..., :3, :], out=length)
+    return _SIGNS @ _xlog2x(_ARGS @ q_length)
 
 
 def measured_info(x, y, t, n):
     """Measured mutual information in bits for readout direction ``n``.
 
     ``n`` has shape ``(..., 3)`` and length at most 1; its leading axes
-    broadcast against those of the state coordinates.
+    broadcast against those of the state coordinates; a last state axis
+    of length 1 reads ``n``'s last leading axis in one product per state.
     """
-    return _info(
-        np.asarray(x, dtype=float),
-        np.asarray(y, dtype=float),
-        np.asarray(t, dtype=float),
-        np.asarray(n, dtype=float),
-    )
+    x, y, t, n = (np.asarray(v, dtype=float) for v in (x, y, t, n))
+    affine = _affine(x, y, t)
+    if n.ndim > 1 and affine.shape[-3:-2] in ((), (1,)):
+        return _info(n, affine[..., 0, :, :] if affine.ndim > 2 else affine)
+    return _info(n[..., None, :], affine)[..., 0]
 
 
 def measured_info_grid(x, y, t, thetas, phis, out):
     """Fill ``out[..., i, j]`` with the measured information at the unit
     direction ``(thetas[i], phis[j])`` for each state of the stack."""
-    x = np.asarray(x, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
+    x, y, t = (np.asarray(v, dtype=float) for v in (x, y, t))
+    thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
     shape = x.shape[:-1] + (thetas.size, phis.size)
     if out.shape != shape:
         raise ValueError(f"out must have shape {shape}, got {out.shape}")
-    st = np.sin(thetas)[:, None]
-    n = np.stack(
-        np.broadcast_arrays(
-            st * np.cos(phis), st * np.sin(phis), np.cos(thetas)[:, None]
-        ),
-        axis=-1,
-    )
-    out[...] = _info(
-        x[..., None, None, :],
-        np.asarray(y, dtype=float)[..., None, None, :],
-        np.asarray(t, dtype=float)[..., None, None, :, :],
-        n,
-    )
+    n = np.empty(shape[-2:] + (3,))
+    st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
+    n[..., 0], n[..., 1], n[..., 2] = st * np.cos(phis), st * np.sin(phis), ct
+    out[...] = _info(n.reshape(-1, 3), _affine(x, y, t)).reshape(shape)

@@ -18,6 +18,7 @@ list of results.  An exactly Bell-diagonal state takes Luo's closed form
 instead (three axis readouts, ``evals`` 3); every other state is searched.
 """
 
+import contextvars
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -114,8 +115,9 @@ class ClassicalCorrelationResult(NamedTuple):
 # converges only linearly, so each iteration takes a Newton step in the
 # tangent plane of the sphere when that raises J, and the power step when
 # it does not.  Both come from one stencil of kernel evaluations around
-# the current point, and every start of every state of a stack moves in
-# the same kernel call.
+# the current point.  Each (state, start) pair is one row of flat
+# (rows, ...) arrays, and every running row of every state of a stack
+# moves in the same kernel call; a row that stops leaves them.
 
 # upper hemisphere only, as n and -n give the same readout basis
 _GRID_THETAS = (np.arange(7) + 0.5) * (np.pi / 14.0)
@@ -144,43 +146,27 @@ _FD_STEP_HESSIAN = 1e-3
 # e2) at n; the last two lie inside the ball, for the radial derivative
 _h, _H = _FD_STEP, _FD_STEP_HESSIAN
 _STENCIL = np.array(
-    [
-        (0.0, 0.0, 1.0),
-        (_h, 0.0, 1.0),
-        (-_h, 0.0, 1.0),
-        (0.0, _h, 1.0),
-        (0.0, -_h, 1.0),
-        (_H, 0.0, 1.0),
-        (-_H, 0.0, 1.0),
-        (0.0, _H, 1.0),
-        (0.0, -_H, 1.0),
-        (_H, _H, 1.0),
-        (_H, -_H, 1.0),
-        (-_H, _H, 1.0),
-        (-_H, -_H, 1.0),
-        (0.0, 0.0, 1.0 - _h),
-        (0.0, 0.0, 1.0 - 2.0 * _h),
-    ]
+    [(0.0, 0.0, 1.0), (_h, 0.0, 1.0), (-_h, 0.0, 1.0), (0.0, _h, 1.0), (0.0, -_h, 1.0)]
+    + [(_H, 0.0, 1.0), (-_H, 0.0, 1.0), (0.0, _H, 1.0), (0.0, -_H, 1.0)]
+    + [(_H, _H, 1.0), (_H, -_H, 1.0), (-_H, _H, 1.0), (-_H, -_H, 1.0)]
+    + [(0.0, 0.0, 1.0 - _h), (0.0, 0.0, 1.0 - 2.0 * _h)]
 )
 _RADIUS = np.hypot(_STENCIL[:, 0], _STENCIL[:, 1])
 # weights of the frame rows (n, e1, e2) in each stencil point
+_SINC = np.sinc(_RADIUS / np.pi)
 _STENCIL_COEF = _STENCIL[:, 2:] * np.stack(
-    [
-        np.cos(_RADIUS),
-        np.sinc(_RADIUS / np.pi) * _STENCIL[:, 0],
-        np.sinc(_RADIUS / np.pi) * _STENCIL[:, 1],
-    ],
-    axis=1,
+    [np.cos(_RADIUS), _SINC * _STENCIL[:, 0], _SINC * _STENCIL[:, 1]], axis=1
 )
-# stencil values -> (J, g1, g2, h11, h12, h22, g_radial): the gradient and
-# Hessian in the tangent chart (the Riemannian ones at n) by central
-# differences, and n . grad J by a one-sided difference into the ball
+# stencil values -> (J, g1, g2, (h11 - h22) / 2, h12, (h11 + h22) / 2,
+# g_radial): the gradient and Hessian in the tangent chart (the Riemannian
+# ones at n) by central differences, and n . grad J by a one-sided
+# difference into the ball
 _DERIV = np.zeros((len(_STENCIL), 7))
-_DERIV[0] = (1.0, 0.0, 0.0, -2.0 / _H**2, 0.0, -2.0 / _H**2, 1.5 / _h)
+_DERIV[0] = (1.0, 0.0, 0.0, 0.0, 0.0, -2.0 / _H**2, 1.5 / _h)
 _DERIV[1:5, 1] = (0.5 / _h, -0.5 / _h, 0.0, 0.0)
 _DERIV[1:5, 2] = (0.0, 0.0, 0.5 / _h, -0.5 / _h)
-_DERIV[5:9, 3] = (1.0 / _H**2, 1.0 / _H**2, 0.0, 0.0)
-_DERIV[5:9, 5] = (0.0, 0.0, 1.0 / _H**2, 1.0 / _H**2)
+_DERIV[5:9, 3] = np.array([1.0, 1.0, -1.0, -1.0]) / (2.0 * _H**2)
+_DERIV[5:9, 5] = 1.0 / (2.0 * _H**2)
 _DERIV[9:13, 4] = np.array([1.0, -1.0, -1.0, 1.0]) / (4.0 * _H**2)
 _DERIV[13:15, 6] = (-2.0 / _h, 0.5 / _h)
 del _h, _H
@@ -198,96 +184,98 @@ _SHRINK = 0.25
 _STEP_TOL = 1e-9
 _GAIN_TOL = 1e-15
 
-_EX = np.array([1.0, 0.0, 0.0])
-_EZ = np.array([0.0, 0.0, 1.0])
-# index maps of the cross product; where (g_radial, g1, g2) sit in a
-# point's derivatives; np.sinc's stand-in for a zero argument
-_NEXT, _PREV, _GRAD = np.array([1, 2, 0]), np.array([2, 0, 1]), np.array([6, 1, 2])
-_EPS = np.finfo(float).eps
+_EX, _EZ = np.eye(3)[0], np.eye(3)[2]
+# n @ _CROSS is (n x e_z, n x e_x)
+_CROSS = np.array([[0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, -1], [0, 0, 0, 0, 1, 0]], float)
+# added to g_radial so that a zero gradient reads as n; sin(r) / max(r,
+# _EPS) is 0 at r = 0
+_NUDGE, _EPS = 1e-150, np.finfo(float).eps
 
 
 def _frames(n):
-    """Orthonormal frames with rows (n, e1, e2), shape (..., 3, 3), where
-    e1 and e2 span the tangent plane at the unit vectors ``n``."""
-    helper = np.where(np.abs(n[..., 2:]) < 0.9, _EZ, _EX)
-    e1 = helper - (helper * n).sum(axis=-1, keepdims=True) * n
-    e1 /= np.sqrt((e1 * e1).sum(axis=-1, keepdims=True))
+    """Orthonormal frames (..., 3, 3) with rows (n, e1, e2) at the unit
+    vectors ``n``: e1 is the helper axis (z, or x near z) less its part
+    ``along`` n, and e2 = n x e1, both sqrt(1 - along^2) long unscaled."""
+    z = np.abs(n[..., 2:]) < 0.9
+    along = np.where(z, n[..., 2:], n[..., :1])
     frames = np.empty(n.shape[:-1] + (3, 3))
-    frames[..., 0, :], frames[..., 1, :] = n, e1
-    frames[..., 2, :] = n[..., _NEXT] * e1[..., _PREV] - n[..., _PREV] * e1[..., _NEXT]
+    frames[..., 0, :] = n
+    frames[..., 1, :] = np.where(z, _EZ, _EX) - along * n
+    cross = n @ _CROSS
+    frames[..., 2, :] = np.where(z, cross[..., :3], cross[..., 3:])
+    frames[..., 1:, :] /= np.sqrt(1.0 - along * along)[..., None]
     return frames
 
 
-def _probe(coords, n):
-    """Frame and stencil derivatives of J at the unit vectors ``n`` (rows,
-    ..., 3), packed as (rows, ..., 16); one kernel call for all of them."""
-    frames = _frames(n)
-    points = (_STENCIL_COEF @ frames).reshape(len(n), -1, 3)
-    values = _kernel.measured_info(*coords, points)
-    return np.concatenate(
-        [
-            frames.reshape(n.shape[:-1] + (9,)),
-            values.reshape(n.shape[:-1] + (len(_STENCIL),)) @ _DERIV,
-        ],
-        axis=-1,
-    )
+def _split(coords):
+    """Views x, y, t of flat coordinates (..., 15)."""
+    t = coords[..., 6:].reshape(coords.shape[:-1] + (3, 3))
+    return coords[..., :3], coords[..., 3:6], t
+
+
+def _probe(coords, frames):
+    """Frames (rows, candidates, 3, 3) and the stencil derivatives of J at
+    their points n, as (rows, candidates, 16); one kernel call for all."""
+    points = (_STENCIL_COEF @ frames).reshape(len(frames), -1, 3)
+    values = _kernel.measured_info(*_split(coords), points)
+    values = values.reshape(frames.shape[:-2] + (len(_STENCIL),))
+    frames = frames.reshape(frames.shape[:-2] + (9,))
+    return np.concatenate([frames, values @ _DERIV], axis=-1)
 
 
 def _newton_steps(d, longest):
-    """Tangent-chart steps (a, b) from the derivatives ``d`` (..., 7), at
-    most ``longest`` long.
-
-    Along each eigenvector of the Hessian the step is the gradient
-    component over the magnitude of the curvature, floored where J is
-    flat: Newton's step at a maximum, and a bounded ascent step on a ridge
-    or a saddle.
-    """
-    g1, g2, h11, h12, h22 = (d[..., k] for k in range(1, 6))
-    mean = 0.5 * (h11 + h22)
-    radius = np.hypot(0.5 * (h11 - h22), h12)
+    """Tangent-chart steps (a, b) at most ``longest`` long, and their
+    lengths, from the derivatives ``d`` (rows, 7).  Along each eigenvector
+    of the Hessian the step is the gradient component over the magnitude of
+    the curvature, floored where J is flat: Newton's step at a maximum, and
+    a bounded ascent step on a ridge or a saddle."""
+    g1, g2, half_gap, h12, mean = d[:, 1], d[:, 2], d[:, 3], d[:, 4], d[:, 5]
+    radius = np.hypot(half_gap, h12)
     # eigenvector (c, s) of the larger eigenvalue, (-s, c) of the smaller
-    angle = 0.5 * np.arctan2(2.0 * h12, h11 - h22)
+    angle = 0.5 * np.arctan2(h12, half_gap)
     c, s = np.cos(angle), np.sin(angle)
     hi = (g1 * c + g2 * s) / np.maximum(np.abs(mean + radius), _CURVATURE_FLOOR)
     lo = (g2 * c - g1 * s) / np.maximum(np.abs(mean - radius), _CURVATURE_FLOOR)
-    a = hi * c - lo * s
-    b = hi * s + lo * c
-    scale = np.minimum(1.0, longest / np.maximum(np.hypot(a, b), 1e-300))
-    return a * scale, b * scale
+    a, b = hi * c - lo * s, hi * s + lo * c
+    length = np.hypot(a, b)
+    r = np.minimum(length, longest)
+    scale = r / np.maximum(length, 1e-300)
+    return a * scale, b * scale, r
+
+
+_GRID_FRAMES = _frames(_GRID_N)
 
 
 def _pick_starts(grid):
     """Indices (N, _STARTS) of the highest grid points of each state,
-    skipping any point close to one already taken."""
-    order = np.argsort(-grid, axis=1, kind="stable")
-    picks = order[:, :_STARTS].copy()
-    far = np.ones(order.shape, dtype=bool)
+    skipping any point close to one taken (two never cover the grid)."""
+    picks = np.empty((len(grid), _STARTS), dtype=int)
+    picks[:, 0] = grid.argmax(axis=1)
+    far = _FAR[picks[:, 0]]
     for k in range(1, _STARTS):
-        far &= _FAR[picks[:, k - 1, None], order]
-        # with no distinct point left, the best one starts again
-        picks[:, k] = order[np.arange(len(grid)), far.argmax(axis=1)]
+        picks[:, k] = np.where(far, grid, -np.inf).argmax(axis=1)
+        far &= _FAR[picks[:, k]]
     return picks
 
 
-# the three like-axis readouts, and the off-diagonal entries of a flat t
+# the three like-axis readouts, and the entries of a flat (x, y, t) that
+# are zero for a Bell-diagonal state
 _AXES = np.eye(3)
-_OFF_DIAGONAL = np.array([1, 2, 3, 5, 6, 7])
+_NOT_BELL = np.array([0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13])
 
 
-def _basis_search(x, y, t, max_evals):
-    """Maximize J over readout directions for each state of a stack.
-
-    ``x``, ``y``, ``t`` have shapes (N, 3), (N, 3), (N, 3, 3).  Returns
-    J*, the maximizing unit vectors and the evaluations spent, per state.
-    A Bell-diagonal state (x = y = 0 and t diagonal, exactly) is read along
+def _basis_search(coords, max_evals):
+    """Maximize J over readout directions for each state of a stack with
+    flat coordinates (x, y, t) ``coords`` (N, 15).  Returns J*, the
+    maximizing unit vectors and the evaluations spent, per state.  A
+    Bell-diagonal state (x = y = 0 and t diagonal, exactly) is read along
     the three axes only, as an axis of its largest |t_kk| is optimal (Luo,
     PRA 77, 042303, 2008); the other states are searched together, one row
     per (state, start).  Raises ``OptimizerFailureError`` for states none
     of whose starts settled within ``max_evals`` evaluations.
     """
-    count = len(x)
-    off = t.reshape(count, 9)[:, _OFF_DIAGONAL]
-    bell = ~(x.any(axis=1) | y.any(axis=1) | off.any(axis=1))
+    count = len(coords)
+    bell = ~coords[:, _NOT_BELL].any(axis=1)
     rest = np.flatnonzero(~bell)
     first = _GRID_N.shape[0] + _STARTS * len(_STENCIL)
     per_round = 2 * _STARTS * len(_STENCIL)
@@ -298,70 +286,59 @@ def _basis_search(x, y, t, max_evals):
     j_star, n_star = np.empty(count), np.empty((count, 3))
     evals = np.full(count, len(_AXES))
     if rest.size < count:
-        values = _kernel.measured_info(
-            x[bell, None], y[bell, None], t[bell, None], _AXES
-        )
+        values = _kernel.measured_info(*_split(coords[bell, None]), _AXES)
         j_star[bell], n_star[bell] = values.max(axis=1), _AXES[values.argmax(axis=1)]
+        coords = coords[rest]
     if not rest.size:
         return j_star, n_star, evals
-    x, y, t = x[rest], y[rest], t[rest]
     grid = np.empty((rest.size, _GRID_THETAS.size, _GRID_PHIS.size))
-    _kernel.measured_info_grid(x, y, t, _GRID_THETAS, _GRID_PHIS, grid)
-    # row s * _STARTS + k is start k of state s; it carries its state's
-    # coordinates with an axis of length 1, along which the kernel reads
-    # the row's stencil points
-    owner = np.repeat(np.arange(rest.size), _STARTS)
-    coords = (x[owner, None], y[owner, None], t[owner, None])
+    _kernel.measured_info_grid(*_split(coords), _GRID_THETAS, _GRID_PHIS, grid)
+    # row s * _STARTS + k is start k of state s, with its coordinates on an
+    # axis of length 1, along which the kernel reads its stencil points
+    coords = coords.repeat(_STARTS, axis=0)[:, None]
     picks = _pick_starts(grid.reshape(rest.size, _GRID_N.shape[0]))
-    state = _probe(coords, _GRID_N[picks.reshape(-1, 1)])[:, 0]
-    # the rows still running, by index; a row that stops leaves its final
+    state = _probe(coords, _GRID_FRAMES[picks.reshape(-1, 1)])[:, 0]
+    # the running rows by index, and what each stopped one left: its final
     # state, whether it settled and the rounds it ran
-    rows = np.arange(len(state))
+    rows, longest = np.arange(len(state)), np.full(len(state), _MAX_STEP)
     final, ran = np.empty_like(state), np.zeros(len(state), dtype=int)
     settled = np.zeros(len(state), dtype=bool)
-    longest = np.full(len(state), _MAX_STEP)
     # every running state has spent first + per_round * rounds evaluations
     rounds = 0
     for rounds in range(1, (max_evals - first) // per_round + 1):
-        frame = state[:, :_J].reshape(-1, 3, 3)
-        d = state[:, _J:]
-        a, b = _newton_steps(d, longest)
-        r = np.hypot(a, b)
-        # np.sinc(r / pi), by its own arithmetic
-        u = np.pi * (r / np.pi)
-        u = np.where(u, u, _EPS)
-        sinc = np.sin(u) / u
-        chart, candidates = np.empty((len(r), 3)), np.empty((len(r), 2, 3))
-        chart[:, 0] = np.cos(r)
-        np.multiply(sinc, a, out=chart[:, 1])
-        np.multiply(sinc, b, out=chart[:, 2])
-        candidates[:, 0] = np.einsum("...k,...kj->...j", chart, frame)
-        # grad J = g_radial n + g1 e1 + g2 e2
-        grad = np.einsum("...k,...kj->...j", d[:, _GRAD], frame)
-        norm = np.sqrt((grad * grad).sum(axis=-1, keepdims=True))
-        candidates[:, 1] = np.where(
-            norm > 0.0, grad / np.where(norm > 0.0, norm, 1.0), frame[:, 0]
-        )
-        probes = _probe(coords, candidates)
-        rise = probes[:, :, _J] > state[:, None, _J]
-        newton_rose = rise[:, 0]
-        moved = newton_rose | rise[:, 1]
+        frame, d = state[:, :_J].reshape(-1, 3, 3), state[:, _J:]
+        a, b, r = _newton_steps(d, longest)
+        # the Newton candidate exp_n(a e1 + b e2) and the power candidate
+        # grad J / |grad J|, grad J = g_radial n + g1 e1 + g2 e2, as weights
+        # of the frame rows; grad J = 0 reads as n
+        weights = np.empty((len(r), 2, 3))
+        sinc = np.sin(r) / np.maximum(r, _EPS)
+        weights[:, 0, 0] = np.cos(r)
+        np.multiply(sinc, a, out=weights[:, 0, 1])
+        np.multiply(sinc, b, out=weights[:, 0, 2])
+        radial = d[:, 6] + _NUDGE
+        scale = 1.0 / np.hypot(np.hypot(radial, d[:, 1]), d[:, 2])
+        np.multiply(radial, scale, out=weights[:, 1, 0])
+        np.multiply(d[:, 1], scale, out=weights[:, 1, 1])
+        np.multiply(d[:, 2], scale, out=weights[:, 1, 2])
+        probes = _probe(coords, _frames(weights @ frame))
+        j = state[:, _J]
+        newton_rose = probes[:, 0, _J] > j
+        moved = newton_rose | (probes[:, 1, _J] > j)
         new = np.where(newton_rose[:, None], probes[:, 0], probes[:, 1])
         # a row that moved stops on a short step or a small gain; one that
         # did not, on a short Newton step or a small first-order promise
-        step = np.sqrt(((new[:, :3] - state[:, :3]) ** 2).sum(axis=1))
+        shift = new[:, :3] - state[:, :3]
+        step = np.hypot(np.hypot(shift[:, 0], shift[:, 1]), shift[:, 2])
         done = np.where(moved, step, r) <= _STEP_TOL
-        done |= (
-            np.where(moved, new[:, _J] - state[:, _J], d[:, 1] * a + d[:, 2] * b)
-            <= _GAIN_TOL
-        )
+        done |= np.where(moved, new[:, _J] - j, d[:, 1] * a + d[:, 2] * b) <= _GAIN_TOL
         longest = np.where(newton_rose, _MAX_STEP, _SHRINK * r)
         state = np.where(moved[:, None], new, state)
         if done.any():
             stopped, keep = rows[done], ~done
             final[stopped], ran[stopped], settled[stopped] = state[done], rounds, True
             rows, state, longest = rows[keep], state[keep], longest[keep]
-            coords = tuple(c[keep] for c in coords)
+            coords = coords[keep]
             if not rows.size:
                 break
     final[rows], ran[rows] = state, rounds
@@ -376,6 +353,10 @@ def _basis_search(x, y, t, max_evals):
     j_star[rest], n_star[rest] = top[:, _J], top[:, :3]
     evals[rest] = first + per_round * ran.reshape(-1, _STARTS).max(axis=1)
     return j_star, n_star, evals
+
+
+# discord's list of mutual informations, read as the record holds each state
+_MUTUAL_INFOS = contextvars.ContextVar("mutual_infos", default=None)
 
 
 def _as_stack(rho):
@@ -397,17 +378,15 @@ def classical_correlation(rho, max_evals=20000):
     A stack of states gives a list of results.
     """
     stack, single = _as_stack(rho)
-    parts = [op.decompose(state) for state in stack]
-    j_star, n_star, evals = _basis_search(
-        np.array([p.x for p in parts]).reshape(-1, 3),
-        np.array([p.y for p in parts]).reshape(-1, 3),
-        np.array([p.t for p in parts]).reshape(-1, 3, 3),
-        max_evals,
-    )
+    infos, coords = _MUTUAL_INFOS.get(), np.empty((len(stack), 15))
+    for state, row in zip(stack, coords):
+        part = op.decompose(state)
+        if infos is not None:
+            infos.append(mutual_information(state))
+        row[:3], row[3:6], row[6:] = part.x, part.y, part.t.reshape(9)
+    j_star, n_star, evals = _basis_search(coords, max_evals)
     results = [
-        ClassicalCorrelationResult(
-            j_star=float(j), basis=MeasurementBasis.from_bloch(n), evals=int(e)
-        )
+        ClassicalCorrelationResult(float(j), MeasurementBasis.from_bloch(n), int(e))
         for j, n, e in zip(j_star, n_star, evals)
     ]
     return results[0] if single else results
@@ -457,9 +436,8 @@ def discord(rho, **search_options):
     stack of states gives a list of reports.
     """
     stack, single = _as_stack(rho)
-    searches = classical_correlation(stack, **search_options)
-    reports = [
-        DiscordReport.split(mutual_information(state), search)
-        for state, search in zip(stack, searches)
-    ]
+    infos, context = [], contextvars.copy_context()
+    context.run(_MUTUAL_INFOS.set, infos)
+    searches = context.run(classical_correlation, stack, **search_options)
+    reports = [DiscordReport.split(i, search) for i, search in zip(infos, searches)]
     return reports[0] if single else reports

@@ -214,6 +214,12 @@ def test_start_separation_mask_matches_its_definition():
     assert np.array_equal(dc._FAR, far)
 
 
+def test_every_two_grid_points_leave_a_distinct_third():
+    # so the third start is always far from the first two
+    far = dc._FAR
+    assert (far[:, None, :] & far[None, :, :]).any(axis=-1).all()
+
+
 # Closed forms against the search: the search can never beat the optimum,
 # and it gets within EXACT_GAP of it, a bound that the Nelder-Mead search
 # this one replaced also met on these states.

@@ -93,3 +93,27 @@ def test_pure_product_measured_info_zero():
     x, y, t = _decomposed(rho)
     for theta, phi in [(0.0, 0.0), (np.pi / 2, 0.0), (1.1, 2.2)]:
         assert abs(_kernel.measured_info(x, y, t, _direction(theta, phi))) <= 1e-12
+
+
+def test_points_read_per_state_match_one_call_per_point(rng):
+    # a trailing state axis of length 1 reads n's last leading axis in one
+    # product per state; the same points one call at a time agree
+    parts = [_decomposed(oracles.random_density_matrix(rng)) for _ in range(3)]
+    x, y, t = (np.array(p)[:, None] for p in zip(*parts))
+    n = rng.normal(size=(3, 7, 3))
+    n *= rng.uniform(0, 1, (3, 7, 1)) / np.linalg.norm(n, axis=-1, keepdims=True)
+    together = _kernel.measured_info(x, y, t, n)
+    apart = [[_kernel.measured_info(*p, m) for m in row] for p, row in zip(parts, n)]
+    assert together.shape == (3, 7)
+    assert np.allclose(together, apart, atol=1e-15)
+
+
+def test_state_edited_in_place_is_read_afresh(rng):
+    x, y, t = _decomposed(oracles.random_density_matrix(rng))
+    n = _direction(0.7, 1.9)
+    before = _kernel.measured_info(x, y, t, n)
+    x *= 0.5
+    after = _kernel.measured_info(x, y, t, n)
+    x, y, t = (a.copy() for a in (x, y, t))
+    assert after != before
+    assert after == _kernel.measured_info(x, y, t, n)
