@@ -187,8 +187,7 @@ _GAIN_TOL = 1e-15
 _EX, _EZ = np.eye(3)[0], np.eye(3)[2]
 # n @ _CROSS is (n x e_z, n x e_x)
 _CROSS = np.array([[0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, -1], [0, 0, 0, 0, 1, 0]], float)
-# added to g_radial so that a zero gradient reads as n; sin(r) / max(r,
-# _EPS) is 0 at r = 0
+# added to g_radial, so a zero gradient reads as n; sin(r) / max(r, _EPS) is 0
 _NUDGE, _EPS = 1e-150, np.finfo(float).eps
 
 
@@ -355,7 +354,8 @@ def _basis_search(coords, max_evals):
     return j_star, n_star, evals
 
 
-# discord's list of mutual informations, read as the record holds each state
+# set by discord, in its own context: the list classical_correlation fills
+# with each state's mutual information right after the state's decompose
 _MUTUAL_INFOS = contextvars.ContextVar("mutual_infos", default=None)
 
 
