@@ -10,8 +10,7 @@ less the perspectives of the binary entropy h at ``L = |x +- t n| / 2``,
 ``q h(L / q) = g(q, L) = f(q) - f((q + L) / 2) - f((q - L) / 2)`` with
 ``f(v) = v log2 v``: nine terms, none above 0.54 in size, after one matrix
 product affine in n.  Outcomes with ``q`` at most ``PROB_FLOOR`` add
-nothing, ``L`` is clamped to at most ``q``, and the map of the last states
-read is kept for the next call.
+nothing, and ``L`` is clamped to at most ``q``.
 
 Both functions broadcast over leading axes of ``x`` (shape ``(..., 3)``),
 ``y`` (``(..., 3)``) and ``t`` (``(..., 3, 3)``), so a stack of states is
@@ -25,13 +24,16 @@ PROB_FLOOR = 1e-12
 # stands in for 0 inside v log v, where the limit is 0
 _TINY = 1e-300
 # (q, u) of qubit a alone, outcome + and outcome -, from [[1, y], [x, t]]
-_PARTS = np.array([[1.0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, -0.5, -0.5]])
+_PARTS = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.5, 0.5, 0.5, 0.5],
+        [0.5, -0.5, -0.5, -0.5],
+    ]
+)
 # (q, L) of the parts -> the arguments (q, (q + L) / 2, (q - L) / 2) of f
 _ARGS = np.kron([[1.0, 0.0], [0.5, 0.5], [0.5, -0.5]], np.eye(3))
 _SIGNS = np.outer([1.0, -1.0, -1.0], [1.0, -1.0, -1.0]).reshape(9)
-# the last map built (never edited) and its key, the shapes and bytes of
-# its (x, y, t)
-_last_affine = None, None
 
 
 def _xlog2x(v):
@@ -49,24 +51,21 @@ def entropy_of_length(r):
 def _affine(x, y, t):
     """The (..., 12, 4) map (1, n) -> (q, u) of the parts; row ``3 c + k``
     is component c of (q, u) in part k."""
-    global _last_affine
-    key = (x.shape, y.shape, t.shape, x.tobytes(), y.tobytes(), t.tobytes())
-    last_key, last = _last_affine
-    if last_key == key:
-        return last
     shape = np.broadcast(x[..., 0], y[..., 0], t[..., 0, 0]).shape
     a = np.empty(shape + (4, 4))
-    a[..., 0, 0], a[..., 0, 1:], a[..., 1:, 0], a[..., 1:, 1:] = 1.0, y, x, t
-    a = (a[..., None, :] * _PARTS).reshape(shape + (12, 4))
-    _last_affine = key, a
-    return a
+    a[..., 0, 0] = 1.0
+    a[..., 0, 1:] = y
+    a[..., 1:, 0] = x
+    a[..., 1:, 1:] = t
+    return (a[..., None, :] * _PARTS).reshape(shape + (12, 4))
 
 
 def _info(n, affine):
     """J at the directions ``n`` (..., points, 3) for states whose
     (..., 12, 4) maps broadcast against them."""
     columns = np.empty(n.shape[:-2] + (4, n.shape[-2]))
-    columns[..., 0, :], columns[..., 1:, :] = 1.0, n.swapaxes(-1, -2)
+    columns[..., 0, :] = 1.0
+    columns[..., 1:, :] = n.swapaxes(-1, -2)
     parts = affine @ columns
     q, u = parts[..., :3, :], parts[..., 3:, :]
     q_length = np.empty(parts.shape[:-2] + (6, parts.shape[-1]))
@@ -102,5 +101,7 @@ def measured_info_grid(x, y, t, thetas, phis, out):
         raise ValueError(f"out must have shape {shape}, got {out.shape}")
     n = np.empty(shape[-2:] + (3,))
     st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    n[..., 0], n[..., 1], n[..., 2] = st * np.cos(phis), st * np.sin(phis), ct
+    n[..., 0] = st * np.cos(phis)
+    n[..., 1] = st * np.sin(phis)
+    n[..., 2] = ct
     out[...] = _info(n.reshape(-1, 3), _affine(x, y, t)).reshape(shape)

@@ -18,7 +18,6 @@ list of results.  An exactly Bell-diagonal state takes Luo's closed form
 instead (three axis readouts, ``evals`` 3); every other state is searched.
 """
 
-import contextvars
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +31,8 @@ from .operators import MeasurementBasis
 
 # discord this far below zero is numerical noise and clamps to 0
 DISCORD_CLAMP = 1e-8
+# the basis search's default budget of kernel evaluations
+_MAX_EVALS = 20000
 
 
 def mutual_information(rho):
@@ -146,27 +147,43 @@ _FD_STEP_HESSIAN = 1e-3
 # e2) at n; the last two lie inside the ball, for the radial derivative
 _h, _H = _FD_STEP, _FD_STEP_HESSIAN
 _STENCIL = np.array(
-    [(0.0, 0.0, 1.0), (_h, 0.0, 1.0), (-_h, 0.0, 1.0), (0.0, _h, 1.0), (0.0, -_h, 1.0)]
-    + [(_H, 0.0, 1.0), (-_H, 0.0, 1.0), (0.0, _H, 1.0), (0.0, -_H, 1.0)]
-    + [(_H, _H, 1.0), (_H, -_H, 1.0), (-_H, _H, 1.0), (-_H, -_H, 1.0)]
-    + [(0.0, 0.0, 1.0 - _h), (0.0, 0.0, 1.0 - 2.0 * _h)]
+    [
+        (0.0, 0.0, 1.0),
+        (_h, 0.0, 1.0),
+        (-_h, 0.0, 1.0),
+        (0.0, _h, 1.0),
+        (0.0, -_h, 1.0),
+        (_H, 0.0, 1.0),
+        (-_H, 0.0, 1.0),
+        (0.0, _H, 1.0),
+        (0.0, -_H, 1.0),
+        (_H, _H, 1.0),
+        (_H, -_H, 1.0),
+        (-_H, _H, 1.0),
+        (-_H, -_H, 1.0),
+        (0.0, 0.0, 1.0 - _h),
+        (0.0, 0.0, 1.0 - 2.0 * _h),
+    ]
 )
 _RADIUS = np.hypot(_STENCIL[:, 0], _STENCIL[:, 1])
 # weights of the frame rows (n, e1, e2) in each stencil point
-_SINC = np.sinc(_RADIUS / np.pi)
 _STENCIL_COEF = _STENCIL[:, 2:] * np.stack(
-    [np.cos(_RADIUS), _SINC * _STENCIL[:, 0], _SINC * _STENCIL[:, 1]], axis=1
+    [
+        np.cos(_RADIUS),
+        np.sinc(_RADIUS / np.pi) * _STENCIL[:, 0],
+        np.sinc(_RADIUS / np.pi) * _STENCIL[:, 1],
+    ],
+    axis=1,
 )
-# stencil values -> (J, g1, g2, (h11 - h22) / 2, h12, (h11 + h22) / 2,
-# g_radial): the gradient and Hessian in the tangent chart (the Riemannian
-# ones at n) by central differences, and n . grad J by a one-sided
-# difference into the ball
+# stencil values -> (J, g1, g2, h11, h12, h22, g_radial): the gradient and
+# Hessian in the tangent chart (the Riemannian ones at n) by central
+# differences, and n . grad J by a one-sided difference into the ball
 _DERIV = np.zeros((len(_STENCIL), 7))
-_DERIV[0] = (1.0, 0.0, 0.0, 0.0, 0.0, -2.0 / _H**2, 1.5 / _h)
+_DERIV[0] = (1.0, 0.0, 0.0, -2.0 / _H**2, 0.0, -2.0 / _H**2, 1.5 / _h)
 _DERIV[1:5, 1] = (0.5 / _h, -0.5 / _h, 0.0, 0.0)
 _DERIV[1:5, 2] = (0.0, 0.0, 0.5 / _h, -0.5 / _h)
-_DERIV[5:9, 3] = np.array([1.0, 1.0, -1.0, -1.0]) / (2.0 * _H**2)
-_DERIV[5:9, 5] = 1.0 / (2.0 * _H**2)
+_DERIV[5:9, 3] = (1.0 / _H**2, 1.0 / _H**2, 0.0, 0.0)
+_DERIV[5:9, 5] = (0.0, 0.0, 1.0 / _H**2, 1.0 / _H**2)
 _DERIV[9:13, 4] = np.array([1.0, -1.0, -1.0, 1.0]) / (4.0 * _H**2)
 _DERIV[13:15, 6] = (-2.0 / _h, 0.5 / _h)
 del _h, _H
@@ -184,11 +201,20 @@ _SHRINK = 0.25
 _STEP_TOL = 1e-9
 _GAIN_TOL = 1e-15
 
-_EX, _EZ = np.eye(3)[0], np.eye(3)[2]
+_EX = np.array([1.0, 0.0, 0.0])
+_EZ = np.array([0.0, 0.0, 1.0])
 # n @ _CROSS is (n x e_z, n x e_x)
-_CROSS = np.array([[0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, -1], [0, 0, 0, 0, 1, 0]], float)
-# added to g_radial, so a zero gradient reads as n; sin(r) / max(r, _EPS) is 0
-_NUDGE, _EPS = 1e-150, np.finfo(float).eps
+_CROSS = np.array(
+    [
+        [0.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+    ]
+)
+# added to g_radial, so a zero gradient reads as n
+_NUDGE = 1e-150
+# sin(r) / max(r, _EPS) is 0 at r = 0
+_EPS = np.finfo(float).eps
 
 
 def _frames(n):
@@ -228,14 +254,16 @@ def _newton_steps(d, longest):
     of the Hessian the step is the gradient component over the magnitude of
     the curvature, floored where J is flat: Newton's step at a maximum, and
     a bounded ascent step on a ridge or a saddle."""
-    g1, g2, half_gap, h12, mean = d[:, 1], d[:, 2], d[:, 3], d[:, 4], d[:, 5]
-    radius = np.hypot(half_gap, h12)
+    g1, g2, h11, h12, h22 = (d[:, k] for k in range(1, 6))
+    mean = 0.5 * (h11 + h22)
+    radius = np.hypot(0.5 * (h11 - h22), h12)
     # eigenvector (c, s) of the larger eigenvalue, (-s, c) of the smaller
-    angle = 0.5 * np.arctan2(h12, half_gap)
+    angle = 0.5 * np.arctan2(2.0 * h12, h11 - h22)
     c, s = np.cos(angle), np.sin(angle)
     hi = (g1 * c + g2 * s) / np.maximum(np.abs(mean + radius), _CURVATURE_FLOOR)
     lo = (g2 * c - g1 * s) / np.maximum(np.abs(mean - radius), _CURVATURE_FLOOR)
-    a, b = hi * c - lo * s, hi * s + lo * c
+    a = hi * c - lo * s
+    b = hi * s + lo * c
     length = np.hypot(a, b)
     r = np.minimum(length, longest)
     scale = r / np.maximum(length, 1e-300)
@@ -299,13 +327,16 @@ def _basis_search(coords, max_evals):
     state = _probe(coords, _GRID_FRAMES[picks.reshape(-1, 1)])[:, 0]
     # the running rows by index, and what each stopped one left: its final
     # state, whether it settled and the rounds it ran
-    rows, longest = np.arange(len(state)), np.full(len(state), _MAX_STEP)
-    final, ran = np.empty_like(state), np.zeros(len(state), dtype=int)
+    rows = np.arange(len(state))
+    longest = np.full(len(state), _MAX_STEP)
+    final = np.empty_like(state)
+    ran = np.zeros(len(state), dtype=int)
     settled = np.zeros(len(state), dtype=bool)
     # every running state has spent first + per_round * rounds evaluations
     rounds = 0
     for rounds in range(1, (max_evals - first) // per_round + 1):
-        frame, d = state[:, :_J].reshape(-1, 3, 3), state[:, _J:]
+        frame = state[:, :_J].reshape(-1, 3, 3)
+        d = state[:, _J:]
         a, b, r = _newton_steps(d, longest)
         # the Newton candidate exp_n(a e1 + b e2) and the power candidate
         # grad J / |grad J|, grad J = g_radial n + g1 e1 + g2 e2, as weights
@@ -334,13 +365,19 @@ def _basis_search(coords, max_evals):
         longest = np.where(newton_rose, _MAX_STEP, _SHRINK * r)
         state = np.where(moved[:, None], new, state)
         if done.any():
-            stopped, keep = rows[done], ~done
-            final[stopped], ran[stopped], settled[stopped] = state[done], rounds, True
-            rows, state, longest = rows[keep], state[keep], longest[keep]
+            stopped = rows[done]
+            final[stopped] = state[done]
+            ran[stopped] = rounds
+            settled[stopped] = True
+            keep = ~done
+            rows = rows[keep]
+            state = state[keep]
+            longest = longest[keep]
             coords = coords[keep]
             if not rows.size:
                 break
-    final[rows], ran[rows] = state, rounds
+    final[rows] = state
+    ran[rows] = rounds
     failed = rest[~settled.reshape(-1, _STARTS).any(axis=1)]
     if failed.size:
         where = "" if count == 1 else f" for states {failed.tolist()}"
@@ -354,11 +391,6 @@ def _basis_search(coords, max_evals):
     return j_star, n_star, evals
 
 
-# set by discord, in its own context: the list classical_correlation fills
-# with each state's mutual information right after the state's decompose
-_MUTUAL_INFOS = contextvars.ContextVar("mutual_infos", default=None)
-
-
 def _as_stack(rho):
     """``rho`` as a stack of states, and whether a single state was given."""
     rho = np.asarray(rho, dtype=complex)
@@ -366,7 +398,24 @@ def _as_stack(rho):
     return (rho[None] if single else rho), single
 
 
-def classical_correlation(rho, max_evals=20000):
+def _coordinates(state):
+    """Flat coordinates (x, y, t), shape (15,), of a checked state."""
+    part = op.decompose(state)
+    return np.concatenate([part.x, part.y, part.t.reshape(9)])
+
+
+def _search(coords, max_evals=_MAX_EVALS):
+    """:func:`classical_correlation` results for a list of flat coordinates."""
+    j_star, n_star, evals = _basis_search(np.reshape(coords, (-1, 15)), max_evals)
+    return [
+        ClassicalCorrelationResult(
+            j_star=float(j), basis=MeasurementBasis.from_bloch(n), evals=int(e)
+        )
+        for j, n, e in zip(j_star, n_star, evals)
+    ]
+
+
+def classical_correlation(rho, max_evals=_MAX_EVALS):
     """Maximum measured mutual information over readout bases of qubit b.
 
     An exactly Bell-diagonal state (x = y = 0, t diagonal) takes Luo's
@@ -378,17 +427,7 @@ def classical_correlation(rho, max_evals=20000):
     A stack of states gives a list of results.
     """
     stack, single = _as_stack(rho)
-    infos, coords = _MUTUAL_INFOS.get(), np.empty((len(stack), 15))
-    for state, row in zip(stack, coords):
-        part = op.decompose(state)
-        if infos is not None:
-            infos.append(mutual_information(state))
-        row[:3], row[3:6], row[6:] = part.x, part.y, part.t.reshape(9)
-    j_star, n_star, evals = _basis_search(coords, max_evals)
-    results = [
-        ClassicalCorrelationResult(float(j), MeasurementBasis.from_bloch(n), int(e))
-        for j, n, e in zip(j_star, n_star, evals)
-    ]
+    results = _search([_coordinates(state) for state in stack], max_evals)
     return results[0] if single else results
 
 
@@ -432,12 +471,16 @@ def discord(rho, **search_options):
     """Quantum discord of a two-qubit state under readout of qubit b.
 
     ``D = I - J_star``; values within 1e-8 below zero are clamped to 0.
-    Keyword options are forwarded to :func:`classical_correlation`.  A
-    stack of states gives a list of reports.
+    Keyword options are those of :func:`classical_correlation`.  A stack of
+    states gives a list of reports.
     """
     stack, single = _as_stack(rho)
-    infos, context = [], contextvars.copy_context()
-    context.run(_MUTUAL_INFOS.set, infos)
-    searches = context.run(classical_correlation, stack, **search_options)
+    # each state's mutual information right after its decompose, while the
+    # one-slot check record still holds it: one eigensolve per state
+    coords, infos = [], []
+    for state in stack:
+        coords.append(_coordinates(state))
+        infos.append(mutual_information(state))
+    searches = _search(coords, **search_options)
     reports = [DiscordReport.split(i, search) for i, search in zip(infos, searches)]
     return reports[0] if single else reports

@@ -107,13 +107,3 @@ def test_points_read_per_state_match_one_call_per_point(rng):
     assert together.shape == (3, 7)
     assert np.allclose(together, apart, atol=1e-15)
 
-
-def test_state_edited_in_place_is_read_afresh(rng):
-    x, y, t = _decomposed(oracles.random_density_matrix(rng))
-    n = _direction(0.7, 1.9)
-    before = _kernel.measured_info(x, y, t, n)
-    x *= 0.5
-    after = _kernel.measured_info(x, y, t, n)
-    x, y, t = (a.copy() for a in (x, y, t))
-    assert after != before
-    assert after == _kernel.measured_info(x, y, t, n)
