@@ -68,8 +68,8 @@ def _info(n, affine):
     columns[..., 1:, :] = n.swapaxes(-1, -2)
     parts = affine @ columns
     q, u = parts[..., :3, :], parts[..., 3:, :]
-    q_length = np.empty(parts.shape[:-2] + (6, parts.shape[-1]))
-    np.multiply(q, q > PROB_FLOOR, out=q_length[..., :3, :])
+    q_length = np.zeros(parts.shape[:-2] + (6, parts.shape[-1]))
+    np.copyto(q_length[..., :3, :], q, where=q > PROB_FLOOR)
     length = q_length[..., 3:, :]
     u = u.reshape(u.shape[:-2] + (3,) + length.shape[-2:])
     np.sqrt(np.einsum("...ckp,...ckp->...kp", u, u), out=length)

@@ -256,9 +256,10 @@ def _newton_steps(d, longest):
     a bounded ascent step on a ridge or a saddle."""
     g1, g2, h11, h12, h22 = (d[:, k] for k in range(1, 6))
     mean = 0.5 * (h11 + h22)
-    radius = np.hypot(0.5 * (h11 - h22), h12)
+    half_gap = 0.5 * (h11 - h22)
+    radius = np.hypot(half_gap, h12)
     # eigenvector (c, s) of the larger eigenvalue, (-s, c) of the smaller
-    angle = 0.5 * np.arctan2(2.0 * h12, h11 - h22)
+    angle = 0.5 * np.arctan2(h12, half_gap)
     c, s = np.cos(angle), np.sin(angle)
     hi = (g1 * c + g2 * s) / np.maximum(np.abs(mean + radius), _CURVATURE_FLOOR)
     lo = (g2 * c - g1 * s) / np.maximum(np.abs(mean - radius), _CURVATURE_FLOOR)
@@ -353,8 +354,9 @@ def _basis_search(coords, max_evals):
         np.multiply(d[:, 2], scale, out=weights[:, 1, 2])
         probes = _probe(coords, _frames(weights @ frame))
         j = state[:, _J]
-        newton_rose = probes[:, 0, _J] > j
-        moved = newton_rose | (probes[:, 1, _J] > j)
+        rise = probes[:, :, _J] > j[:, None]
+        newton_rose = rise[:, 0]
+        moved = newton_rose | rise[:, 1]
         new = np.where(newton_rose[:, None], probes[:, 0], probes[:, 1])
         # a row that moved stops on a short step or a small gain; one that
         # did not, on a short Newton step or a small first-order promise
