@@ -31,8 +31,6 @@ from .operators import MeasurementBasis
 
 # discord this far below zero is numerical noise and clamps to 0
 DISCORD_CLAMP = 1e-8
-# the basis search's default budget of kernel evaluations
-_MAX_EVALS = 20000
 
 
 def mutual_information(rho):
@@ -400,24 +398,7 @@ def _as_stack(rho):
     return (rho[None] if single else rho), single
 
 
-def _coordinates(state):
-    """Flat coordinates (x, y, t), shape (15,), of a checked state."""
-    part = op.decompose(state)
-    return np.concatenate([part.x, part.y, part.t.reshape(9)])
-
-
-def _search(coords, max_evals=_MAX_EVALS):
-    """:func:`classical_correlation` results for a list of flat coordinates."""
-    j_star, n_star, evals = _basis_search(np.reshape(coords, (-1, 15)), max_evals)
-    return [
-        ClassicalCorrelationResult(
-            j_star=float(j), basis=MeasurementBasis.from_bloch(n), evals=int(e)
-        )
-        for j, n, e in zip(j_star, n_star, evals)
-    ]
-
-
-def classical_correlation(rho, max_evals=_MAX_EVALS):
+def classical_correlation(rho, max_evals=20000):
     """Maximum measured mutual information over readout bases of qubit b.
 
     An exactly Bell-diagonal state (x = y = 0, t diagonal) takes Luo's
@@ -429,7 +410,15 @@ def classical_correlation(rho, max_evals=_MAX_EVALS):
     A stack of states gives a list of results.
     """
     stack, single = _as_stack(rho)
-    results = _search([_coordinates(state) for state in stack], max_evals)
+    parts = [op.decompose(state) for state in stack]
+    coords = np.array([np.concatenate([p.x, p.y, p.t.reshape(9)]) for p in parts])
+    j_star, n_star, evals = _basis_search(coords.reshape(-1, 15), max_evals)
+    results = [
+        ClassicalCorrelationResult(
+            j_star=float(j), basis=MeasurementBasis.from_bloch(n), evals=int(e)
+        )
+        for j, n, e in zip(j_star, n_star, evals)
+    ]
     return results[0] if single else results
 
 
@@ -473,16 +462,13 @@ def discord(rho, **search_options):
     """Quantum discord of a two-qubit state under readout of qubit b.
 
     ``D = I - J_star``; values within 1e-8 below zero are clamped to 0.
-    Keyword options are those of :func:`classical_correlation`.  A stack of
-    states gives a list of reports.
+    Keyword options are forwarded to :func:`classical_correlation`.  A
+    stack of states gives a list of reports.
     """
     stack, single = _as_stack(rho)
-    # each state's mutual information right after its decompose, while the
-    # one-slot check record still holds it: one eigensolve per state
-    coords, infos = [], []
-    for state in stack:
-        coords.append(_coordinates(state))
-        infos.append(mutual_information(state))
-    searches = _search(coords, **search_options)
-    reports = [DiscordReport.split(i, search) for i, search in zip(infos, searches)]
+    searches = classical_correlation(stack, **search_options)
+    reports = [
+        DiscordReport.split(mutual_information(state), search)
+        for state, search in zip(stack, searches)
+    ]
     return reports[0] if single else reports

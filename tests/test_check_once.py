@@ -297,13 +297,3 @@ def test_classical_correlation_of_a_stack_solves_each_state_once(monkeypatch):
     shapes = _count_eigensolves(monkeypatch)
     qcorr.classical_correlation(stack)
     assert shapes == [(4, 4)] * len(stack)
-
-
-def test_discord_of_a_stack_solves_each_state_once(monkeypatch):
-    stack = np.array([STATES[name] for name in ("ginibre", "werner", "rank2", "chi3")])
-    shapes = _count_eigensolves(monkeypatch)
-    reports = qcorr.discord(stack)
-    assert shapes == [(4, 4)] * len(stack)
-    assert [r.mutual_info for r in reports] == [
-        qcorr.mutual_information(rho) for rho in stack
-    ]
