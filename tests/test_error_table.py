@@ -14,7 +14,8 @@ An intended change is re-recorded with
 
     PYTHONPATH=src python tests/test_error_table.py --record
 
-and the diff of ``error_table.json`` then shows what moved.
+and the diff of ``error_table.json`` then shows what moved; a row of
+``REROUNDED`` keeps its recorded value while the new one is within bound.
 """
 
 import dataclasses
@@ -148,17 +149,21 @@ def _table():
 REROUNDED = {"measured_mutual_information": 1e-15}
 
 
+def _rerounded(call, got, want):
+    """Whether ``got`` and ``want`` are values of a ``REROUNDED`` call that
+    differ by no more than its bound."""
+    if call not in REROUNDED or "value" not in got or "value" not in want:
+        return False
+    return abs(float(got["value"]) - float(want["value"])) <= REROUNDED[call]
+
+
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_state_quantity_outcomes_unchanged(call):
     want = _table()[call]
     assert sorted(want) == sorted(INPUTS)
     for name in INPUTS:
         got = outcome(call, name)
-        if call in REROUNDED and "value" in want[name]:
-            assert "value" in got, name
-            gap = abs(float(got["value"]) - float(want[name]["value"]))
-            assert gap <= REROUNDED[call], name
-        else:
+        if not _rerounded(call, got, want[name]):
             assert got == want[name], name
 
 
@@ -237,12 +242,17 @@ def test_no_public_callable_has_a_check_parameter():
     assert [name for name, obj in found.items() if _has_check(obj)] == []
 
 
+def _recorded(call, name, old):
+    """The row to record: the old one while a re-rounded value stays within
+    its bound, so that a re-record diff shows only real moves."""
+    got = outcome(call, name)
+    want = old.get(call, {}).get(name)
+    return want if want is not None and _rerounded(call, got, want) else got
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    TABLE.write_text(
-        json.dumps(
-            {call: {name: outcome(call, name) for name in INPUTS} for call in CALLS},
-            indent=1,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    old = _table() if TABLE.exists() else {}
+    table = {
+        call: {name: _recorded(call, name, old) for name in INPUTS} for call in CALLS
+    }
+    TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
