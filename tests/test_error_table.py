@@ -1,7 +1,9 @@
 """One validation rule: a state quantity validates, an index map never does.
 
 Each of the functions in ``CALLS`` returns a quantity of a two-qubit state,
-so each validates its input; ``partial_trace`` and ``partial_transpose``
+so each validates its input, or is one of the three validators
+(``validate``, ``check_state``, ``require_density_matrix``);
+``partial_trace`` and ``partial_transpose``
 only move indices, and take any 4x4 matrix.  No public callable has a
 switch that skips the check.
 
@@ -69,6 +71,9 @@ CALLS = {
     "sample_magnetization": lambda r: nmr.sample_magnetization(r, 64, seed=5),
     "run_protocol": lambda r: nmr.run_protocol(r, shots=64, seed=5),
     "witness_via_protocol": lambda r: nmr.witness_via_protocol(r, seed=3),
+    "validate": states.validate,
+    "check_state": states.check_state,
+    "require_density_matrix": op.require_density_matrix,
 }
 
 
@@ -168,8 +173,13 @@ def test_state_quantity_outcomes_unchanged(call):
 
 
 # invalid inputs that give a value instead of an error: the entropy takes
-# any dimension
-GIVES_A_VALUE = {("von_neumann_entropy", "wrong_shape")}
+# any dimension, and validate reports a failed check as a flag
+GIVES_A_VALUE = {
+    ("von_neumann_entropy", "wrong_shape"),
+    ("validate", "non_hermitian"),
+    ("validate", "trace_1_1"),
+    ("validate", "negative_eigenvalue"),
+}
 
 
 def test_every_invalid_input_raises():
