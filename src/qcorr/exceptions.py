@@ -6,25 +6,16 @@ class QcorrError(Exception):
 
 
 class InvalidStateError(QcorrError):
-    """A matrix failed density-matrix validation.
-
-    Carries the ``StateValidity`` record when one was computed, so callers
-    can report which check failed (Hermiticity, trace, positivity).
-    """
-
-    def __init__(self, message, validity=None):
-        super().__init__(message)
-        self.validity = validity
+    """A matrix failed density-matrix validation; the message names the
+    check that failed and the offending value."""
 
 
 class NotPositiveError(InvalidStateError):
-    """A construction produced a matrix with a negative eigenvalue."""
+    """A matrix has an eigenvalue below the positivity tolerance."""
 
-    def __init__(self, min_eigenvalue, validity=None):
+    def __init__(self, min_eigenvalue):
         super().__init__(
-            "state is not positive semidefinite "
-            f"(min eigenvalue {min_eigenvalue:.6e})",
-            validity,
+            f"matrix is not positive semidefinite (min eigenvalue {min_eigenvalue:.3e})"
         )
         self.min_eigenvalue = min_eigenvalue
 

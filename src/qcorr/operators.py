@@ -11,19 +11,22 @@ mutate their arguments.
 
 Every function of the package that returns a quantity of a state
 validates that state; ``partial_trace`` and the partial transpose only
-move indices and never do.  One slot keeps the checks of the last 4x4
-matrix checked (Hermiticity defect, trace error, spectrum, Pauli
-coordinates); a later check reuses them only for a matrix with the same
+move indices and never do.  ``_checks`` is the one place that holds a
+matrix against the Hermiticity, trace and positivity tolerances; its record
+names each failed check with its error.  One slot keeps the record of the
+last 4x4 matrix checked (Hermiticity defect, spectrum, Pauli coordinates,
+failed checks); a later check reuses it only for a matrix with the same
 bytes, so the calls on one state share one eigensolve and an array edited
 in place is checked afresh.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import InvalidStateError
+from .exceptions import InvalidStateError, NotPositiveError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -98,13 +101,14 @@ def require_finite(m):
 
 
 class _Checks(NamedTuple):
-    """What the density-matrix checks read off one finite 4x4 matrix."""
+    """What the density-matrix checks read off one finite square matrix."""
 
     key: bytes
     defect: float
-    trace_err: float
     spectrum: np.ndarray  # ascending eigenvalues of the Hermitian part
-    coords: np.ndarray  # <sigma_i (x) sigma_j> at [i, j]
+    coords: np.ndarray  # <sigma_i (x) sigma_j> at [i, j]; None unless 4x4
+    # validity flag -> maker of its error, for each failed check in order
+    failed: dict
 
 
 # the checks of the last matrix checked; replaced whole, never edited
@@ -120,20 +124,43 @@ def _stored_checks(m):
 
 
 def _checks(m):
-    """The checks of a complex 4x4 array, from the slot or made and put
-    there; a non-finite entry raises ``InvalidStateError``, never kept."""
+    """The checks of a complex square array; a 4x4 array's come from the
+    slot or are made and put there.  A non-finite entry raises
+    ``InvalidStateError`` and is never kept."""
     global _last_checks
     checks = _stored_checks(m)
     if checks is None:
         require_finite(m)
         adjoint = m.conj().T
         spectrum = np.linalg.eigvalsh((m + adjoint) / 2.0)
-        coords = (_COORD @ m.reshape(16)).real.reshape(4, 4)
-        spectrum.flags.writeable = coords.flags.writeable = False
+        spectrum.flags.writeable = False
         defect = float(abs(m - adjoint).max())
         trace_err = abs(complex(m.trace()) - 1.0)
-        checks = _Checks(m.tobytes(), defect, trace_err, spectrum, coords)
-        _last_checks = checks
+        failed = {}
+        if defect > HERMITICITY_TOL:
+            message = f"matrix is not Hermitian (defect {defect:.3e})"
+            failed["hermitian"] = partial(InvalidStateError, message)
+        if trace_err > TRACE_TOL:
+            message = f"trace differs from 1 by {trace_err:.3e}"
+            failed["trace_one"] = partial(InvalidStateError, message)
+        if spectrum[0] < -PSD_TOL:
+            failed["psd"] = partial(NotPositiveError, float(spectrum[0]))
+        coords = None
+        if m.shape == (4, 4):
+            coords = (_COORD @ m.reshape(16)).real.reshape(4, 4)
+            coords.flags.writeable = False
+        checks = _Checks(m.tobytes(), defect, spectrum, coords, failed)
+        if coords is not None:
+            _last_checks = checks
+    return checks
+
+
+def _valid_checks(m):
+    """The checks of a complex square array that passes them all; the first
+    failed check raises its error."""
+    checks = _checks(m)
+    for error in checks.failed.values():
+        raise error()
     return checks
 
 
@@ -149,18 +176,10 @@ def require_density_matrix(rho):
     """Raise ``InvalidStateError`` unless ``rho`` is a valid 4x4 density matrix.
 
     Valid means finite, Hermitian to 1e-12, unit trace to 1e-12 and positive
-    semidefinite with eigenvalues no lower than -1e-10.
+    semidefinite with eigenvalues no lower than -1e-10.  The first failed
+    check raises; a negative eigenvalue raises ``NotPositiveError``.
     """
-    checks = _checks(_matrix4(rho))
-    if checks.defect > HERMITICITY_TOL:
-        raise InvalidStateError(f"matrix is not Hermitian (defect {checks.defect:.3e})")
-    if checks.trace_err > TRACE_TOL:
-        raise InvalidStateError(f"trace differs from 1 by {checks.trace_err:.3e}")
-    lo = float(checks.spectrum[0])
-    if lo < -PSD_TOL:
-        raise InvalidStateError(
-            f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})"
-        )
+    _valid_checks(_matrix4(rho))
 
 
 @dataclass(frozen=True)
@@ -241,26 +260,15 @@ def partial_trace(rho, keep="a"):
 
 
 def von_neumann_entropy(rho):
-    """von Neumann entropy in bits of a density matrix (any dimension).
+    """von Neumann entropy in bits of a density matrix of any dimension.
 
-    The input must be Hermitian (see :func:`eigenvalues_hermitian`) with
-    unit trace to 1e-10 and eigenvalues above -1e-10.  Eigenvalues are
-    clipped to [0, 1] before taking logarithms; zero eigenvalues contribute
-    nothing.  A NaN or infinite entry raises ``InvalidStateError``.
+    The input passes the checks of :func:`require_density_matrix`, with the
+    same tolerances and errors, on a square matrix of any size.  Eigenvalues
+    are clipped to [0, 1] before taking logarithms; zero eigenvalues
+    contribute nothing.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if _stored_checks(rho) is None:
-        require_finite(rho)
-    evals = eigenvalues_hermitian(rho)
-    if abs(float(np.sum(evals)) - 1.0) > 1e-10:
-        raise InvalidStateError(
-            f"trace differs from 1 by {abs(float(np.sum(evals)) - 1.0):.3e}"
-        )
-    if evals[-1] < -PSD_TOL:
-        raise InvalidStateError(
-            f"matrix is not positive semidefinite (min eigenvalue {evals[-1]:.3e})"
-        )
-    return _entropy_bits(evals)
+    checks = _valid_checks(np.asarray(rho, dtype=complex))
+    return _entropy_bits(checks.spectrum[::-1])
 
 
 def _entropy_bits(evals):

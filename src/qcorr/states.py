@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from .exceptions import InvalidStateError, NotPositiveError
 from .operators import MeasurementBasis
 
 # largest |t_ij|, i != j, still counted as diagonal-correlation class
@@ -45,26 +44,19 @@ def validate(matrix):
 
     Returns a ``StateValidity`` record with individual flags (Hermitian to
     1e-12, unit trace to 1e-12, eigenvalues above -1e-10) plus whether the
-    correlation matrix is diagonal to 1e-9.  A matrix with a NaN or
-    infinite entry raises ``InvalidStateError``, as no flag applies to it.
+    correlation matrix is diagonal to 1e-9.  A matrix that is not 4x4 or
+    has a NaN or infinite entry raises ``InvalidStateError``, as no flag
+    applies to it.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {matrix.shape}")
-    checks = op._checks(matrix)
-    hermitian = checks.defect <= op.HERMITICITY_TOL
-    trace_one = checks.trace_err <= op.TRACE_TOL
-    lo = float(checks.spectrum[0])
-    psd = lo >= -op.PSD_TOL
-    in_class = (hermitian and trace_one and psd) and (
-        op._max_offdiagonal(checks.coords[1:, 1:]) <= OFFDIAG_TOL
-    )
+    checks = op._checks(op._matrix4(matrix))
+    failed = checks.failed
     return StateValidity(
-        hermitian=hermitian,
-        trace_one=trace_one,
-        psd=psd,
-        min_eigenvalue=lo,
-        in_diagonal_class=in_class,
+        hermitian="hermitian" not in failed,
+        trace_one="trace_one" not in failed,
+        psd="psd" not in failed,
+        min_eigenvalue=float(checks.spectrum[0]),
+        in_diagonal_class=not failed
+        and op._max_offdiagonal(checks.coords[1:, 1:]) <= OFFDIAG_TOL,
     )
 
 
@@ -72,8 +64,9 @@ def make_general(x, y, c):
     """State with local Bloch vectors ``x``, ``y`` and diagonal correlations ``c``.
 
     Builds ``(id4 + sum x_i s_i0 + sum y_j s_0j + sum c_i s_ii) / 4`` and
-    raises ``NotPositiveError`` when the parameters do not give a positive
-    matrix.
+    checks it as :func:`operators.require_density_matrix` does, so
+    parameters that do not give a positive matrix raise
+    ``NotPositiveError``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -81,9 +74,7 @@ def make_general(x, y, c):
     if x.shape != (3,) or y.shape != (3,) or c.shape != (3,):
         raise ValueError("x, y and c must each have shape (3,)")
     rho = op.compose(x, y, np.diag(c))
-    lo = float(op.eigenvalues_hermitian(rho)[-1])
-    if lo < -op.PSD_TOL:
-        raise NotPositiveError(lo)
+    op.require_density_matrix(rho)
     return rho
 
 
@@ -262,20 +253,7 @@ def save_state(rho, path):
 
 
 def check_state(rho):
-    """Raise ``InvalidStateError`` (with the validity record attached)
-    unless ``rho`` is a valid density matrix."""
-    v = validate(rho)
-    if not v.valid:
-        failed = [
-            name
-            for name, ok in (
-                ("hermitian", v.hermitian),
-                ("trace_one", v.trace_one),
-                ("psd", v.psd),
-            )
-            if not ok
-        ]
-        if failed == ["psd"]:
-            raise NotPositiveError(v.min_eigenvalue, v)
-        raise InvalidStateError(f"state fails checks: {', '.join(failed)}", v)
-    return v
+    """The ``StateValidity`` record of a valid density matrix; otherwise the
+    first failed check raises, as in :func:`operators.require_density_matrix`."""
+    op.require_density_matrix(rho)
+    return validate(rho)

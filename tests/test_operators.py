@@ -208,6 +208,18 @@ def test_entropy_rejects_invalid():
         op.von_neumann_entropy(np.diag([1.5, -0.5, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_entropy_takes_the_trace_tolerance_of_every_state_quantity(dim):
+    rho = np.eye(dim, dtype=complex) / dim
+    rho[0, 0] += 5e-11
+    message = "trace differs from 1 by 5.000e-11"
+    with pytest.raises(InvalidStateError, match=message):
+        op.von_neumann_entropy(rho)
+    if dim == 4:
+        with pytest.raises(InvalidStateError, match=message):
+            op.decompose(rho)
+
+
 def test_expectation_values():
     from qcorr.states import make_werner
 

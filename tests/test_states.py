@@ -62,6 +62,9 @@ def test_make_general_rejects_non_positive():
     with pytest.raises(NotPositiveError) as err:
         states.make_general(np.zeros(3), np.zeros(3), [1.0, 1.0, 1.0])
     assert abs(err.value.min_eigenvalue + 0.5) <= ATOL
+    assert str(err.value) == (
+        "matrix is not positive semidefinite (min eigenvalue -5.000e-01)"
+    )
 
 
 def test_make_general_valid_example():
@@ -146,8 +149,9 @@ def test_validate_flags():
 
 
 def test_validate_shape():
-    with pytest.raises(ValueError):
-        states.validate(np.eye(2))
+    for check in (states.validate, states.check_state):
+        with pytest.raises(InvalidStateError, match=r"4x4 matrix, got shape \(2, 2\)"):
+            check(np.eye(2))
 
 
 def test_validate_non_finite():
