@@ -26,6 +26,7 @@ import numpy as np
 from . import correlations as corr
 from . import entanglement as ent
 from . import nmr
+from . import operators as op
 from . import states
 from . import witness as wit
 from .exceptions import InvalidStateError, OutOfClassError
@@ -69,36 +70,16 @@ def _round_record(record):
     return {key: _round12(val) for key, val in record.items()}
 
 
-def _load(path):
-    try:
-        return states.load_state(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE) from exc
-
-
-def _checked(rho):
-    try:
-        states.check_state(rho)
-    except InvalidStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID_STATE) from exc
-    return rho
-
-
 def cmd_classify(args):
-    rho = _checked(_load(args.state_file))
-    try:
-        report = wit.witness_value(
-            rho,
-            mode=args.mode,
-            n_trials=args.trials,
-            seed=args.seed,
-            tol=args.tol,
-        )
-    except OutOfClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OUT_OF_CLASS
+    rho = states.load_state(args.state_file)
+    states.check_state(rho)
+    report = wit.witness_value(
+        rho,
+        mode=args.mode,
+        n_trials=args.trials,
+        seed=args.seed,
+        tol=args.tol,
+    )
     record = _round_record(report.to_dict())
     json.dump(record, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -119,12 +100,7 @@ def _parse_alphas(text):
 
 
 def cmd_sweep_werner(args):
-    try:
-        alphas = _parse_alphas(args.alphas)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    alphas = _parse_alphas(args.alphas)
     werner = np.array([states.make_werner(float(alpha)) for alpha in alphas])
     # one batched basis search for the whole grid
     searches = (
@@ -183,14 +159,9 @@ def cmd_sweep_werner(args):
 
 
 def cmd_nmr_verify(args):
-    rho = _checked(_load(args.state_file))
-    if not states.validate(rho).in_diagonal_class:
-        print(
-            "error: state has off-diagonal correlations; the protocol "
-            "verification applies to diagonal-correlation states",
-            file=sys.stderr,
-        )
-        return EXIT_OUT_OF_CLASS
+    rho = states.load_state(args.state_file)
+    states.check_state(rho)
+    wit._require_in_class(op.decompose(rho))
     run = nmr.run_protocol(rho, shots=args.shots, seed=args.seed)
     record = run.to_dict()
     record = {
@@ -275,8 +246,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        # argparse and the loaders signal through SystemExit; normalize to a
-        # return value so callers and the console script see one contract
+        # argparse signals through SystemExit; normalize to a return value so
+        # callers and the console script see one contract
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     except OutOfClassError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -284,7 +255,7 @@ def main(argv=None):
     except InvalidStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_STATE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

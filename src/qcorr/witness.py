@@ -34,6 +34,7 @@ import numpy as np
 
 from . import operators as op
 from .exceptions import OutOfClassError
+from .states import OFFDIAG_TOL
 
 ZERO_TOL = 1e-9
 UNIT_TOL = 1e-12
@@ -142,7 +143,7 @@ class WitnessReport:
 
 def _require_in_class(decomp):
     off = decomp.max_offdiagonal()
-    if off > ZERO_TOL:
+    if off > OFFDIAG_TOL:
         raise OutOfClassError(
             f"state has off-diagonal correlations up to {off:.3e}; the "
             "witness applies only to diagonal-correlation states"

@@ -66,6 +66,19 @@ def test_classify_out_of_class(tmp_path, capsys):
     assert "diagonal" in err.lower() or "class" in err.lower()
 
 
+def test_out_of_class_fails_alike_in_classify_and_nmr_verify(tmp_path, capsys):
+    rho = states.make_werner(0.5).copy()
+    rho[0, 1] += 0.01
+    rho[1, 0] += 0.01
+    path = write_state(tmp_path, "bad.json", matrix_payload(rho))
+    classify = run(["classify", path], capsys)
+    assert run(["nmr-verify", path], capsys) == classify
+    code, out, err = classify
+    assert (code, out) == (cli.EXIT_OUT_OF_CLASS, "")
+    assert err.startswith("error: state has off-diagonal correlations up to ")
+    assert err.count("\n") == 1
+
+
 def test_classify_invalid_state(tmp_path, capsys):
     rho = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
     path = write_state(tmp_path, "neg.json", matrix_payload(rho))
