@@ -111,7 +111,7 @@ class _Checks(NamedTuple):
     failed: dict
 
 
-# the checks of the last matrix checked; replaced whole, never edited
+# the checks of the last 4x4 matrix checked; replaced whole, never edited
 _last_checks = None
 
 
@@ -262,10 +262,10 @@ def partial_trace(rho, keep="a"):
 def von_neumann_entropy(rho):
     """von Neumann entropy in bits of a density matrix of any dimension.
 
-    The input passes the checks of :func:`require_density_matrix`, with the
-    same tolerances and errors, on a square matrix of any size.  Eigenvalues
-    are clipped to [0, 1] before taking logarithms; zero eigenvalues
-    contribute nothing.
+    The input must pass the checks of :func:`require_density_matrix`, with
+    the same tolerances and errors, whatever its size.  Eigenvalues are
+    clipped to [0, 1] before taking logarithms; zero eigenvalues contribute
+    nothing.
     """
     checks = _valid_checks(np.asarray(rho, dtype=complex))
     return _entropy_bits(checks.spectrum[::-1])

@@ -3,9 +3,8 @@
 Each of the functions in ``CALLS`` returns a quantity of a two-qubit state,
 so each validates its input, or is one of the three validators
 (``validate``, ``check_state``, ``require_density_matrix``);
-``partial_trace`` and ``partial_transpose``
-only move indices, and take any 4x4 matrix.  No public callable has a
-switch that skips the check.
+``partial_trace`` and ``partial_transpose`` only move indices, and take any
+4x4 matrix.  No public callable has a switch that skips the check.
 
 ``tests/golden/error_table.json`` holds, for
 every function and every input in ``INPUTS``, either the type and message
