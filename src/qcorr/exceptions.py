@@ -19,6 +19,10 @@ class NotPositiveError(InvalidStateError):
         )
         self.min_eigenvalue = min_eigenvalue
 
+    def __reduce__(self):
+        # ``args`` holds the message, not the value the class is built from
+        return type(self), (self.min_eigenvalue,)
+
 
 class OutOfClassError(QcorrError):
     """The state has off-diagonal correlation entries, outside the

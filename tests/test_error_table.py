@@ -483,24 +483,7 @@ def _error_classes():
 ERROR_ARGS = {NotPositiveError: (-0.5,)}
 
 
-@pytest.mark.parametrize(
-    "cls",
-    [
-        pytest.param(
-            cls,
-            marks=[
-                pytest.mark.xfail(
-                    strict=True,
-                    reason="CHANGES.md FOUND: NotPositiveError cannot be unpickled",
-                )
-            ]
-            if cls is NotPositiveError
-            else [],
-            id=cls.__name__,
-        )
-        for cls in _error_classes()
-    ],
-)
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
 def test_error_survives_pickle(cls):
     error = cls(*ERROR_ARGS.get(cls, ("trace differs from 1 by 1.000e-01",)))
     back = pickle.loads(pickle.dumps(error))
