@@ -164,12 +164,20 @@ def _valid_checks(m):
     return checks
 
 
+def _matrix(m, size=None):
+    """``m`` as a complex array; ``InvalidStateError`` unless it is a
+    non-empty square matrix, with ``size`` rows when that is given."""
+    m = np.asarray(m, dtype=complex)
+    square = m.ndim == 2 and m.shape[0] == m.shape[1] > 0
+    if not square or size not in (None, m.shape[0]):
+        wanted = "square" if size is None else f"{size}x{size}"
+        raise InvalidStateError(f"expected a {wanted} matrix, got shape {m.shape}")
+    return m
+
+
 def _matrix4(m):
     """``m`` as a complex array; ``InvalidStateError`` unless it is 4x4."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise InvalidStateError(f"expected a 4x4 matrix, got shape {m.shape}")
-    return m
+    return _matrix(m, 4)
 
 
 def require_density_matrix(rho):
@@ -262,12 +270,13 @@ def partial_trace(rho, keep="a"):
 def von_neumann_entropy(rho):
     """von Neumann entropy in bits of a density matrix of any dimension.
 
-    The input must pass the checks of :func:`require_density_matrix`, with
-    the same tolerances and errors, whatever its size.  Eigenvalues are
+    The input must be a square matrix and pass the checks of
+    :func:`require_density_matrix`, with the same tolerances and errors,
+    whatever its size.  Eigenvalues are
     clipped to [0, 1] before taking logarithms; zero eigenvalues contribute
     nothing.
     """
-    checks = _valid_checks(np.asarray(rho, dtype=complex))
+    checks = _valid_checks(_matrix(rho))
     return _entropy_bits(checks.spectrum[::-1])
 
 

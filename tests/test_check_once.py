@@ -18,7 +18,7 @@ import oracles
 import qcorr
 from qcorr import operators as op
 from qcorr import states
-from qcorr.exceptions import QcorrError
+from qcorr.exceptions import InvalidStateError, QcorrError
 
 GOLDEN_STATES = Path(__file__).parent / "golden" / "states"
 
@@ -129,8 +129,8 @@ def test_stored_check_gives_what_a_fresh_computation_gives(name):
 def test_stored_check_is_read_only_for_a_4x4_matrix():
     rho = STATES["werner"]
     states.validate(rho)
-    with pytest.raises(np.linalg.LinAlgError):
-        op.eigenvalues_hermitian(rho.reshape(16))
+    with pytest.raises(InvalidStateError, match="expected a square matrix"):
+        op.von_neumann_entropy(rho.reshape(16))
 
 
 def _break_hermiticity(m):

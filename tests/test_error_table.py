@@ -371,7 +371,7 @@ def _state_exports():
 
 
 STATE_EXPORTS = _state_exports()
-BAD_SHAPES = [(16,), (2, 8), (3, 3), (2, 3, 3), (0, 4, 4)]
+BAD_SHAPES = [(16,), (2, 8), (3, 3), (0, 0), (2, 3, 3), (0, 4, 4)]
 NON_FINITE = {"nan": np.nan, "plus_inf": np.inf, "minus_inf": -np.inf}
 # a fixed draw, unshrunk: a known fault fails on every run, and a failing
 # example is reported as drawn
@@ -379,22 +379,15 @@ SWEEP = settings(
     max_examples=10, deadline=None, derandomize=True, phases=[Phase.generate]
 )
 
-_ENTROPY_SHAPE = (
-    "CHANGES.md FOUND: von_neumann_entropy on a non-square input raises "
-    "NumPy's errors instead of InvalidStateError"
-)
 _EIG_NON_FINITE = (
     "CHANGES.md FOUND: eigenvalues_hermitian never rejects non-finite input"
 )
 _EIG_SHAPE = "eigenvalues_hermitian has no shape rule: NumPy's errors pass through"
 KNOWN_FAULTS = {
-    ("von_neumann_entropy", "(16,)"): _ENTROPY_SHAPE,
-    ("von_neumann_entropy", "(2, 8)"): _ENTROPY_SHAPE,
-    ("von_neumann_entropy", "(2, 3, 3)"): _ENTROPY_SHAPE,
-    ("von_neumann_entropy", "(0, 4, 4)"): _ENTROPY_SHAPE,
     ("eigenvalues_hermitian", "(16,)"): _EIG_SHAPE,
     ("eigenvalues_hermitian", "(2, 8)"): _EIG_SHAPE,
     ("eigenvalues_hermitian", "(3, 3)"): _EIG_SHAPE,
+    ("eigenvalues_hermitian", "(0, 0)"): _EIG_SHAPE,
     ("eigenvalues_hermitian", "(2, 3, 3)"): _EIG_SHAPE,
     ("eigenvalues_hermitian", "(0, 4, 4)"): _EIG_SHAPE,
     ("eigenvalues_hermitian", "nan"): _EIG_NON_FINITE,
