@@ -9,11 +9,8 @@ from .correlations import (
     ClassicalCorrelationResult,
     DiscordReport,
     classical_correlation,
-    conditioned_state,
     discord,
-    measured_mutual_information,
     mutual_information,
-    outcome_probability,
 )
 from .entanglement import (
     EntanglementReport,
@@ -28,14 +25,12 @@ from .exceptions import (
     OptimizerFailureError,
     OutOfClassError,
     QcorrError,
-    ZeroProbabilityOutcomeError,
 )
 from .nmr import (
     ProtocolRun,
     cnot_ab,
     rotation_pair,
     run_protocol,
-    sample_magnetization,
     transform_states,
     witness_via_protocol,
 )
@@ -44,8 +39,6 @@ from .operators import (
     PauliDecomposition,
     compose,
     decompose,
-    eigenvalues_hermitian,
-    expectation,
     partial_trace,
     pauli,
     tensor,

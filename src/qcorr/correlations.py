@@ -7,10 +7,10 @@ conditional states.  Maximizing over the readout basis gives the classical
 correlation, and quantum discord is the gap to the total mutual
 information.
 
-Two evaluation routes exist on purpose.  ``measured_mutual_information``
-works directly on projectors and partial traces; the basis search in
-``classical_correlation`` runs on the closed-form kernel over expectation
-coordinates in ``_kernel``.  The tests pin both routes against each other.
+The measured mutual information is evaluated in one place: the
+closed-form kernel over expectation coordinates in ``_kernel``.  The tests
+pin it against an independent route through projectors, partial traces
+and eigensolves (``tests/oracles.py``).
 
 ``classical_correlation`` and ``discord`` take one 4x4 state or an
 ``(N, 4, 4)`` stack; a stack is searched in one batched pass and gives a
@@ -25,8 +25,7 @@ import numpy as np
 
 from . import _kernel
 from . import operators as op
-from ._kernel import PROB_FLOOR
-from .exceptions import OptimizerFailureError, ZeroProbabilityOutcomeError
+from .exceptions import OptimizerFailureError
 from .operators import MeasurementBasis
 
 # discord this far below zero is numerical noise and clamps to 0
@@ -41,63 +40,6 @@ def mutual_information(rho):
     lengths = np.sqrt([decomp.x @ decomp.x, decomp.y @ decomp.y])
     marginals = _kernel.entropy_of_length(np.minimum(lengths, 1.0))
     return float(marginals.sum()) - op.von_neumann_entropy(rho)
-
-
-def _projector4(basis, outcome):
-    p0, p1 = basis.projectors()
-    return np.kron(op.pauli(0), p0 if outcome == 0 else p1)
-
-
-def outcome_probability(rho, basis, outcome):
-    """Probability of ``outcome`` (0 or 1) when qubit b is read out in
-    ``basis``."""
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    rho = np.asarray(rho, dtype=complex)
-    op.require_density_matrix(rho)
-    return float(np.trace(_projector4(basis, outcome) @ rho).real)
-
-
-def conditioned_state(rho, basis, outcome):
-    """Post-measurement state of qubit a given ``outcome`` on qubit b.
-
-    Raises ``ZeroProbabilityOutcomeError`` when the outcome probability is
-    at most 1e-12.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    op.require_density_matrix(rho)
-    proj = _projector4(basis, outcome)
-    prob = float(np.trace(proj @ rho).real)
-    if prob <= PROB_FLOOR:
-        raise ZeroProbabilityOutcomeError(
-            f"outcome {outcome} has probability {prob:.3e}"
-        )
-    return op.partial_trace(proj @ rho @ proj, "a") / prob
-
-
-def measured_mutual_information(rho, basis):
-    """Information about qubit a retained after reading qubit b in ``basis``.
-
-    ``S(rho_a) - sum_j p_j S(rho_a | outcome j)`` in bits; outcomes with
-    probability at most 1e-12 contribute nothing.  Always in [0, 1].  Each
-    conditional spectrum is that of the unnormalized block divided by p_j,
-    so a small p_j does not magnify the block's rounding.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    op.require_density_matrix(rho)
-    s_a = op._entropy_bits(op.eigenvalues_hermitian(op.partial_trace(rho, "a")))
-    conditional = 0.0
-    for outcome in (0, 1):
-        proj = _projector4(basis, outcome)
-        prob = float(np.trace(proj @ rho).real)
-        if prob <= PROB_FLOOR:
-            continue
-        block = op.eigenvalues_hermitian(op.partial_trace(proj @ rho @ proj, "a"))
-        conditional += prob * op._entropy_bits(block / prob)
-    value = s_a - conditional
-    if -1e-10 < value < 0.0:
-        value = 0.0
-    return value
 
 
 class ClassicalCorrelationResult(NamedTuple):

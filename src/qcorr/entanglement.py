@@ -42,7 +42,8 @@ def partial_transpose(rho, subsystem="b"):
 
 def _pt_spectrum(rho):
     """Partial-transpose eigenvalues, descending, and the negativity."""
-    evals = op.eigenvalues_hermitian(partial_transpose(rho))
+    pt = partial_transpose(rho)
+    evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[::-1]
     # + 0.0 turns the empty-sum -0.0 into a plain zero
     return evals, float(-np.sum(evals[evals < 0.0]) + 0.0)
 

@@ -29,9 +29,5 @@ class OutOfClassError(QcorrError):
     diagonal-correlation family the witness is formulated for."""
 
 
-class ZeroProbabilityOutcomeError(QcorrError):
-    """Conditioning on a measurement outcome of numerically zero probability."""
-
-
 class OptimizerFailureError(QcorrError):
     """The measurement-basis search did not converge within its budget."""

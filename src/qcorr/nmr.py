@@ -126,7 +126,8 @@ def transform_states(rho):
     eta = _CNOT @ rho @ _CNOT
     zeta = _CNOT @ (_R3 @ rho @ _R3.conj().T) @ _CNOT
     xi = _CNOT @ (_R2 @ rho @ _R2.conj().T) @ _CNOT
-    # the arithmetic of op.expectation, without entering the slot
+    # Tr(s (sigma_1 (x) id)) of each; the transformed states are not
+    # checked, so the slot keeps the record of rho
     ms = tuple(float(np.trace(s @ _SIGMA1A).real) for s in (eta, zeta, xi))
     residuals = tuple(float(abs(ms[i] - c[i])) for i in range(3))
     return ProtocolRun(
@@ -153,20 +154,6 @@ def _sample_pm1(exact, shots, rng):
     mean = (2.0 * ups - shots) / shots
     stderr = math.sqrt(max(1.0 - mean * mean, 0.0) / shots)
     return float(mean), float(stderr)
-
-
-def sample_magnetization(rho, shots, seed=None, rng=None):
-    """Shot-sampled x magnetization of spin a.
-
-    Draws ``shots`` single-shot +-1 readings of ``sigma_1 (x) id`` and
-    returns (estimate, stderr).  Deterministic for a fixed seed.
-    """
-    exact = op.expectation(rho, _SIGMA1A)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return _sample_pm1(exact, shots, rng)
 
 
 def run_protocol(rho, shots=None, seed=None):

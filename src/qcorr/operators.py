@@ -3,8 +3,8 @@
 Everything downstream (state constructors, witness, discord, entanglement
 tests, readout simulation) is built on the helpers in this module: Pauli
 matrices and their tensor products, the expectation-value decomposition of
-a two-qubit density matrix and its inverse, partial traces, a guarded
-Hermitian eigensolver and the von Neumann entropy in bits.
+a two-qubit density matrix and its inverse, partial traces and the von
+Neumann entropy in bits.
 
 All functions treat states as plain ``numpy.ndarray`` objects and never
 mutate their arguments.
@@ -31,9 +31,6 @@ from .exceptions import InvalidStateError, NotPositiveError
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
-# symmetrization guard for the eigensolver; looser than HERMITICITY_TOL so
-# matrices assembled from sums of products still pass
-EIG_HERMITICITY_TOL = 1e-10
 
 _ID2 = np.eye(2, dtype=complex)
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -66,32 +63,6 @@ def tensor(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def hermiticity_defect(m):
-    """max |m - m^dagger| entrywise."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
-def eigenvalues_hermitian(h):
-    """Eigenvalues of a Hermitian matrix, descending.
-
-    The input is symmetrized to ``(h + h^dagger)/2`` when its Hermiticity
-    defect is at most 1e-10; a larger defect raises ``ValueError`` instead
-    of silently projecting.
-    """
-    h = np.asarray(h, dtype=complex)
-    checks = _stored_checks(h)
-    defect = hermiticity_defect(h) if checks is None else checks.defect
-    if defect > EIG_HERMITICITY_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian (defect {defect:.3e} > {EIG_HERMITICITY_TOL})"
-        )
-    if checks is not None:
-        return checks.spectrum[::-1].copy()
-    sym = (h + h.conj().T) / 2.0
-    return np.linalg.eigvalsh(sym)[::-1].copy()
-
-
 def require_finite(m):
     """Raise ``InvalidStateError`` if an entry of ``m`` is NaN or infinite."""
     m = np.asarray(m)
@@ -115,21 +86,13 @@ class _Checks(NamedTuple):
 _last_checks = None
 
 
-def _stored_checks(m):
-    """The slot's record if it was made from a 4x4 matrix with the bytes of
-    the complex array ``m``, else None."""
-    checks = _last_checks
-    hit = checks is not None and m.shape == (4, 4) and checks.key == m.tobytes()
-    return checks if hit else None
-
-
 def _checks(m):
     """The checks of a complex square array; a 4x4 array's come from the
-    slot or are made and put there.  A non-finite entry raises
-    ``InvalidStateError`` and is never kept."""
+    slot, when it was made from the same bytes, or are made and put there.
+    A non-finite entry raises ``InvalidStateError`` and is never kept."""
     global _last_checks
-    checks = _stored_checks(m)
-    if checks is None:
+    checks = _last_checks
+    if checks is None or m.shape != (4, 4) or checks.key != m.tobytes():
         require_finite(m)
         adjoint = m.conj().T
         spectrum = np.linalg.eigvalsh((m + adjoint) / 2.0)
@@ -285,21 +248,6 @@ def _entropy_bits(evals):
     evals = np.clip(evals, 0.0, 1.0)
     nz = evals[evals > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
-
-
-def expectation(rho, observable):
-    """Expectation value ``Tr(rho O)`` of a Hermitian observable.
-
-    The trace of a Hermitian pair is real up to rounding; the imaginary
-    residue (at most 1e-12 for valid input) is discarded.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    observable = np.asarray(observable, dtype=complex)
-    require_density_matrix(rho)
-    defect = hermiticity_defect(observable)
-    if defect > EIG_HERMITICITY_TOL:
-        raise ValueError(f"observable is not Hermitian (defect {defect:.3e})")
-    return float(np.trace(rho @ observable).real)
 
 
 @dataclass(frozen=True)

@@ -113,13 +113,13 @@ def test_stored_check_gives_what_a_fresh_computation_gives(name):
     other = "ginibre" if name == "werner" else "werner"
     states.validate(STATES[other])
     fresh = []
-    for call in (op.decompose, op.eigenvalues_hermitian, qcorr.mutual_information):
+    for call in (op.decompose, op.von_neumann_entropy, qcorr.mutual_information):
         op._last_checks = None
         fresh.append(call(rho))
     states.validate(rho)
     stored = (
         op.decompose(rho),
-        op.eigenvalues_hermitian(rho),
+        op.von_neumann_entropy(rho),
         qcorr.mutual_information(rho),
     )
     for got, want in zip(stored, fresh):

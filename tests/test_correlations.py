@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from qcorr import _kernel
 from qcorr import correlations as dc
 from qcorr import operators as op
 from qcorr import states
-from qcorr.exceptions import OptimizerFailureError, ZeroProbabilityOutcomeError
+from qcorr.exceptions import OptimizerFailureError
 from qcorr.operators import MeasurementBasis
 
 ATOL = 1e-12
@@ -51,53 +52,61 @@ def test_mutual_information_werner_half():
     assert abs(dc.mutual_information(states.make_werner(0.5)) - expected) <= ATOL
 
 
+# The readout of qubit b along n, in the coordinates the kernel works in:
+# outcome 0, onto the first vector of ``MeasurementBasis.from_bloch(n)``,
+# has probability (1 + y.n) / 2 and leaves qubit a with the Bloch vector
+# (x + t n) / (1 + y.n).
+
+
+def _probability_of_outcome_0(rho, n):
+    return (1.0 + op.decompose(rho).y @ n) / 2.0
+
+
+def _conditioned_bloch(rho, n):
+    d = op.decompose(rho)
+    return (d.x + d.t @ n) / (1.0 + d.y @ n)
+
+
+def _matrix_route(rho, basis):
+    """The measured information at ``basis`` on the projector route."""
+    return oracles.measured_info_matrix_grid(rho, [basis.theta], [basis.phi])[0, 0]
+
+
 def test_outcome_probabilities_computational():
     rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     basis = MeasurementBasis(0.0, 0.0)
-    assert abs(dc.outcome_probability(rho, basis, 0) - 1.0) <= ATOL
-    assert abs(dc.outcome_probability(rho, basis, 1)) <= ATOL
+    assert abs(_probability_of_outcome_0(rho, basis.bloch()) - 1.0) <= ATOL
+    assert abs(_probability_of_outcome_0(rho, -basis.bloch())) <= ATOL
 
 
 def test_outcome_probabilities_sum_to_one(rng):
+    # the projectors of a basis are complete, and the first reads (1 + y.n) / 2
     for _ in range(20):
         rho = oracles.random_density_matrix(rng)
         basis = MeasurementBasis(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-        total = dc.outcome_probability(rho, basis, 0) + dc.outcome_probability(
-            rho, basis, 1
-        )
-        assert abs(total - 1.0) <= ATOL
-
-
-def test_outcome_validation():
-    with pytest.raises(ValueError):
-        dc.outcome_probability(np.eye(4) / 4, MeasurementBasis(0, 0), 2)
+        rho_b = op.partial_trace(rho, "b")
+        p0, p1 = (np.trace(rho_b @ proj).real for proj in basis.projectors())
+        assert abs(p0 + p1 - 1.0) <= ATOL
+        assert abs(p0 - _probability_of_outcome_0(rho, basis.bloch())) <= ATOL
 
 
 def test_conditioned_state_singlet():
     rho = states.make_werner(1.0)
-    cond = dc.conditioned_state(rho, MeasurementBasis(0.0, 0.0), 0)
-    assert np.max(np.abs(cond - np.diag([0.0, 1.0]))) <= ATOL
+    bloch = _conditioned_bloch(rho, MeasurementBasis(0.0, 0.0).bloch())
+    assert np.max(np.abs(bloch - [0.0, 0.0, -1.0])) <= ATOL
 
 
 def test_conditioned_state_anti_aligned():
     # perfect anti-correlation along any axis for the singlet
     rho = states.make_werner(1.0)
-    basis = MeasurementBasis(np.pi / 2, 0.0)
-    cond = dc.conditioned_state(rho, basis, 0)
-    bloch = np.array([np.trace(cond @ op.pauli(k)).real for k in (1, 2, 3)])
+    bloch = _conditioned_bloch(rho, MeasurementBasis(np.pi / 2, 0.0).bloch())
     assert np.allclose(bloch, [-1.0, 0.0, 0.0], atol=1e-10)
-
-
-def test_conditioned_state_zero_probability():
-    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ZeroProbabilityOutcomeError):
-        dc.conditioned_state(rho, MeasurementBasis(np.pi, 0.0), 0)
 
 
 def test_measured_info_mixture_bases():
     rho = _half_half()
-    assert abs(dc.measured_mutual_information(rho, MeasurementBasis(0.0, 0.0)) - 1.0) <= ATOL
-    assert abs(dc.measured_mutual_information(rho, MeasurementBasis(np.pi / 2, 0.0))) <= ATOL
+    assert abs(_matrix_route(rho, MeasurementBasis(0.0, 0.0)) - 1.0) <= ATOL
+    assert abs(_matrix_route(rho, MeasurementBasis(np.pi / 2, 0.0))) <= ATOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,7 +117,7 @@ def test_measured_info_mixture_bases():
 )
 def test_measured_info_bounds(seed, theta, phi):
     rho = oracles.random_density_matrix(np.random.default_rng(seed))
-    value = dc.measured_mutual_information(rho, MeasurementBasis(theta, phi))
+    value = _matrix_route(rho, MeasurementBasis(theta, phi))
     s_a = op.von_neumann_entropy(op.partial_trace(rho, "a"))
     assert -1e-8 <= value <= min(s_a, 1.0) + 1e-8
 
@@ -120,7 +129,7 @@ def _unit(v):
 def test_measured_info_of_product_state_read_near_an_unlikely_outcome():
     # a readout of qubit b along a direction near -b has one outcome of
     # probability in (1e-12, 1e-6]; its conditional state must not blow
-    # the rounding of the unnormalized block up past the Hermiticity guard
+    # the rounding of the small outcome up into the information
     rng = np.random.default_rng(1012)
     small = 0
     for _ in range(300):
@@ -128,9 +137,10 @@ def test_measured_info_of_product_state_read_near_an_unlikely_outcome():
         rho = states.make_product(rng.uniform(0.0, 1.0) * a, b)
         tilt = 10.0 ** rng.uniform(-5.5, -3.0)
         side = _unit(np.cross(b, rng.normal(size=3)))
-        basis = MeasurementBasis.from_bloch(_unit(-np.cos(tilt) * b + np.sin(tilt) * side))
-        small += dc.outcome_probability(rho, basis, 0) <= 1e-6
-        assert abs(dc.measured_mutual_information(rho, basis)) <= 1e-12
+        n = _unit(-np.cos(tilt) * b + np.sin(tilt) * side)
+        small += _probability_of_outcome_0(rho, n) <= 1e-6
+        d = op.decompose(rho)
+        assert abs(_kernel.measured_info(d.x, d.y, d.t, n)) <= 1e-12
     assert small == 300
 
 
@@ -152,7 +162,7 @@ def test_classical_correlation_single_axis():
 def test_classical_correlation_matches_report_basis(rng):
     rho = oracles.random_density_matrix(rng)
     result = dc.classical_correlation(rho)
-    direct = dc.measured_mutual_information(rho, result.basis)
+    direct = _matrix_route(rho, result.basis)
     assert abs(direct - result.j_star) <= 1e-9
 
 

@@ -29,15 +29,15 @@ def test_partial_transpose_properties(rng):
     for _ in range(20):
         rho = oracles.random_density_matrix(rng)
         pt = ent.partial_transpose(rho)
-        assert op.hermiticity_defect(pt) <= ATOL
+        assert abs(pt - pt.conj().T).max() <= ATOL
         assert abs(np.trace(pt).real - 1.0) <= ATOL
 
 
 def test_partial_transpose_side_independent_spectrum(rng):
     for _ in range(20):
         rho = oracles.random_density_matrix(rng)
-        spec_b = op.eigenvalues_hermitian(ent.partial_transpose(rho, "b"))
-        spec_a = op.eigenvalues_hermitian(ent.partial_transpose(rho, "a"))
+        spec_b = np.linalg.eigvalsh(ent.partial_transpose(rho, "b"))
+        spec_a = np.linalg.eigvalsh(ent.partial_transpose(rho, "a"))
         assert np.allclose(spec_a, spec_b, atol=1e-10)
 
 
@@ -112,7 +112,7 @@ def test_chsh_brute_force_angles_consistent(rng):
     a = a / np.linalg.norm(a)
     a2 = t @ (b - b2)
     a2 = a2 / np.linalg.norm(a2)
-    direct = op.expectation(rho, oracles.chsh_operator(a, a2, b, b2))
+    direct = np.trace(rho @ oracles.chsh_operator(a, a2, b, b2)).real
     assert abs(abs(direct) - brute) <= 1e-9
 
 

@@ -15,8 +15,7 @@ An intended change is re-recorded with
 
     PYTHONPATH=src python tests/test_error_table.py --record
 
-and the diff of ``error_table.json`` then shows what moved; a row of
-``REROUNDED`` keeps its recorded value while the new one is within bound.
+and the diff of ``error_table.json`` then shows what moved.
 
 A hypothesis sweep feeds every export of ``qcorr`` that takes a state
 inputs no state quantity can take: wrong shapes, NaN and infinite entries,
@@ -58,22 +57,14 @@ from qcorr.exceptions import InvalidStateError, NotPositiveError, QcorrError
 TABLE = Path(__file__).parent / "golden" / "error_table.json"
 GOLDEN_STATES = Path(__file__).parent / "golden" / "states"
 
-BASIS = op.MeasurementBasis(theta=0.7, phi=1.1)
 DIRECTIONS = wit.DirectionPair(
     z=np.array([0.6, 0.0, 0.8]), w=np.array([0.0, -0.28, 0.96])
 )
-OBSERVABLE = op.tensor(op.pauli(1), op.pauli(3))
 
 CALLS = {
     "decompose": op.decompose,
     "von_neumann_entropy": op.von_neumann_entropy,
-    "expectation": lambda r: op.expectation(r, OBSERVABLE),
     "mutual_information": corr.mutual_information,
-    "outcome_probability": lambda r: corr.outcome_probability(r, BASIS, 1),
-    "conditioned_state": lambda r: corr.conditioned_state(r, BASIS, 0),
-    "measured_mutual_information": lambda r: corr.measured_mutual_information(
-        r, BASIS
-    ),
     "classical_correlation": corr.classical_correlation,
     "discord": corr.discord,
     "negativity": ent.negativity,
@@ -83,7 +74,6 @@ CALLS = {
     "witness_value": wit.witness_value,
     "classify": wit.classify,
     "transform_states": nmr.transform_states,
-    "sample_magnetization": lambda r: nmr.sample_magnetization(r, 64, seed=5),
     "run_protocol": lambda r: nmr.run_protocol(r, shots=64, seed=5),
     "witness_via_protocol": lambda r: nmr.witness_via_protocol(r, seed=3),
     "validate": states.validate,
@@ -163,28 +153,12 @@ def _table():
     return json.loads(TABLE.read_text(encoding="utf-8"))
 
 
-# takes each conditional spectrum from the unnormalized block divided by
-# p, where the table was recorded dividing the block first: its values may
-# move by rounding, its errors may not
-REROUNDED = {"measured_mutual_information": 1e-15}
-
-
-def _rerounded(call, got, want):
-    """Whether ``got`` and ``want`` are values of a ``REROUNDED`` call that
-    differ by no more than its bound."""
-    if call not in REROUNDED or "value" not in got or "value" not in want:
-        return False
-    return abs(float(got["value"]) - float(want["value"])) <= REROUNDED[call]
-
-
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_state_quantity_outcomes_unchanged(call):
     want = _table()[call]
     assert sorted(want) == sorted(INPUTS)
     for name in INPUTS:
-        got = outcome(call, name)
-        if not _rerounded(call, got, want[name]):
-            assert got == want[name], name
+        assert outcome(call, name) == want[name], name
 
 
 # invalid inputs that give a value instead of an error: the entropy takes
@@ -285,19 +259,15 @@ PUBLIC_NAMES = [
     "StateValidity",
     "Verdict",
     "WitnessReport",
-    "ZeroProbabilityOutcomeError",
     "bell_diagonal_eigenvalues",
     "chsh_maximum",
     "classical_correlation",
     "classify",
     "cnot_ab",
     "compose",
-    "conditioned_state",
     "decompose",
     "discord",
-    "eigenvalues_hermitian",
     "entanglement_report",
-    "expectation",
     "load_state",
     "make_bell_diagonal",
     "make_classical",
@@ -305,19 +275,16 @@ PUBLIC_NAMES = [
     "make_product",
     "make_werner",
     "matched_form",
-    "measured_mutual_information",
     "mutual_information",
     "negativity",
     "observable_expectations",
     "observables",
-    "outcome_probability",
     "parse_state",
     "partial_trace",
     "partial_transpose",
     "pauli",
     "rotation_pair",
     "run_protocol",
-    "sample_magnetization",
     "save_state",
     "tensor",
     "transform_states",
@@ -337,23 +304,8 @@ def test_public_names_are_pinned():
     assert sorted(found) == PUBLIC_NAMES
 
 
-def _recorded(call, name, old):
-    """The row to record: the old one while a re-rounded value stays within
-    its bound, so that a re-record diff shows only real moves."""
-    got = outcome(call, name)
-    want = old.get(call, {}).get(name)
-    return want if want is not None and _rerounded(call, got, want) else got
-
-
 # the arguments after the state, for the exports that take more than one
-STATE_ARGS = {
-    "conditioned_state": (BASIS, 0),
-    "expectation": (OBSERVABLE,),
-    "measured_mutual_information": (BASIS,),
-    "observable_expectations": (DIRECTIONS,),
-    "outcome_probability": (BASIS, 1),
-    "sample_magnetization": (64,),
-}
+STATE_ARGS = {"observable_expectations": (DIRECTIONS,)}
 # writes any 4x4 array to a file, and is no quantity of a state
 NOT_SWEPT = {"save_state"}
 INDEX_MAPS = {"partial_trace", "partial_transpose"}
@@ -365,7 +317,7 @@ def _state_exports():
         if name.startswith("_") or not inspect.isfunction(obj) or name in NOT_SWEPT:
             continue
         first = next(iter(inspect.signature(obj).parameters), None)
-        if first in ("rho", "matrix", "h"):
+        if first in ("rho", "matrix"):
             names.append(name)
     return sorted(names)
 
@@ -373,39 +325,16 @@ def _state_exports():
 STATE_EXPORTS = _state_exports()
 BAD_SHAPES = [(16,), (2, 8), (3, 3), (0, 0), (2, 3, 3), (0, 4, 4)]
 NON_FINITE = {"nan": np.nan, "plus_inf": np.inf, "minus_inf": -np.inf}
-# a fixed draw, unshrunk: a known fault fails on every run, and a failing
+# a fixed draw, unshrunk: every run feeds the same inputs, and a failing
 # example is reported as drawn
 SWEEP = settings(
     max_examples=10, deadline=None, derandomize=True, phases=[Phase.generate]
 )
 
-_EIG_NON_FINITE = (
-    "CHANGES.md FOUND: eigenvalues_hermitian never rejects non-finite input"
-)
-_EIG_SHAPE = "eigenvalues_hermitian has no shape rule: NumPy's errors pass through"
-KNOWN_FAULTS = {
-    ("eigenvalues_hermitian", "(16,)"): _EIG_SHAPE,
-    ("eigenvalues_hermitian", "(2, 8)"): _EIG_SHAPE,
-    ("eigenvalues_hermitian", "(3, 3)"): _EIG_SHAPE,
-    ("eigenvalues_hermitian", "(0, 0)"): _EIG_SHAPE,
-    ("eigenvalues_hermitian", "(2, 3, 3)"): _EIG_SHAPE,
-    ("eigenvalues_hermitian", "(0, 4, 4)"): _EIG_SHAPE,
-    ("eigenvalues_hermitian", "nan"): _EIG_NON_FINITE,
-    ("eigenvalues_hermitian", "plus_inf"): _EIG_NON_FINITE,
-    ("eigenvalues_hermitian", "minus_inf"): _EIG_NON_FINITE,
-}
-
 
 def _cases(kinds):
     return [
-        pytest.param(
-            name,
-            kind,
-            marks=[pytest.mark.xfail(strict=True, reason=KNOWN_FAULTS[name, kind])]
-            if (name, kind) in KNOWN_FAULTS
-            else [],
-            id=f"{name}-{kind}",
-        )
+        pytest.param(name, kind, id=f"{name}-{kind}")
         for name in STATE_EXPORTS
         for kind in kinds
     ]
@@ -486,8 +415,5 @@ def test_error_survives_pickle(cls):
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    old = _table() if TABLE.exists() else {}
-    table = {
-        call: {name: _recorded(call, name, old) for name in INPUTS} for call in CALLS
-    }
+    table = {call: {name: outcome(call, name) for name in INPUTS} for call in CALLS}
     TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")

@@ -109,16 +109,17 @@ def test_sampling_converges():
 
 def test_sampling_degenerate_outcome():
     # perfectly aligned magnetization gives zero spread; the estimate is exact
+    # t11 = 1, so every shot of the eta channel reads +1
     rho = states.make_product((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    mean, err = nmr.sample_magnetization(rho, shots=500, seed=0)
-    assert mean == 1.0
-    assert err == 0.0
+    run = nmr.run_protocol(rho, shots=500, seed=0)
+    assert run.m_eta == 1.0
+    assert run.stderrs[0] == 0.0
 
 
 def test_sample_magnetization_validation():
     rho = states.make_werner(0.2)
     with pytest.raises(ValueError):
-        nmr.sample_magnetization(rho, shots=0)
+        nmr.run_protocol(rho, shots=0)
 
 
 def test_witness_via_protocol_matches_direct_evaluation(rng):
