@@ -14,10 +14,10 @@ validates that state; ``partial_trace`` and the partial transpose only
 move indices and never do.  ``_checks`` is the one place that holds a
 matrix against the Hermiticity, trace and positivity tolerances; its record
 names each failed check with its error.  One slot keeps the record of the
-last 4x4 matrix checked (Hermiticity defect, spectrum, Pauli coordinates,
-failed checks); a later check reuses it only for a matrix with the same
-bytes, so the calls on one state share one eigensolve and an array edited
-in place is checked afresh.
+last 4x4 matrix checked (spectrum, Pauli coordinates, failed checks); a
+later check reuses it only for a matrix with the same bytes, so the calls
+on one state share one eigensolve and an array edited in place is checked
+afresh.
 """
 
 from dataclasses import dataclass
@@ -75,7 +75,6 @@ class _Checks(NamedTuple):
     """What the density-matrix checks read off one finite square matrix."""
 
     key: bytes
-    defect: float
     spectrum: np.ndarray  # ascending eigenvalues of the Hermitian part
     coords: np.ndarray  # <sigma_i (x) sigma_j> at [i, j]; None unless 4x4
     # validity flag -> maker of its error, for each failed check in order
@@ -112,7 +111,7 @@ def _checks(m):
         if m.shape == (4, 4):
             coords = (_COORD @ m.reshape(16)).real.reshape(4, 4)
             coords.flags.writeable = False
-        checks = _Checks(m.tobytes(), defect, spectrum, coords, failed)
+        checks = _Checks(m.tobytes(), spectrum, coords, failed)
         if coords is not None:
             _last_checks = checks
     return checks
