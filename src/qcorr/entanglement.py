@@ -32,7 +32,7 @@ def partial_transpose(rho, subsystem="b"):
     eigenvalues; for two qubits a negative eigenvalue is equivalent to
     entanglement.  The spectra for ``subsystem="a"`` and ``"b"`` coincide.
     """
-    r = op._matrix4(rho).reshape(2, 2, 2, 2)
+    r = op._matrix(rho, 4).reshape(2, 2, 2, 2)
     if subsystem == "b":
         return r.transpose(0, 3, 2, 1).reshape(4, 4)
     if subsystem == "a":
@@ -42,6 +42,8 @@ def partial_transpose(rho, subsystem="b"):
 
 def _pt_spectrum(rho):
     """Partial-transpose eigenvalues, descending, and the negativity."""
+    # rho is validated first, and a partial transpose only permutes its
+    # entries, so the transpose is no further from Hermitian than rho
     pt = partial_transpose(rho)
     evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[::-1]
     # + 0.0 turns the empty-sum -0.0 into a plain zero

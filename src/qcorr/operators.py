@@ -137,11 +137,6 @@ def _matrix(m, size=None):
     return m
 
 
-def _matrix4(m):
-    """``m`` as a complex array; ``InvalidStateError`` unless it is 4x4."""
-    return _matrix(m, 4)
-
-
 def require_density_matrix(rho):
     """Raise ``InvalidStateError`` unless ``rho`` is a valid 4x4 density matrix.
 
@@ -149,7 +144,7 @@ def require_density_matrix(rho):
     semidefinite with eigenvalues no lower than -1e-10.  The first failed
     check raises; a negative eigenvalue raises ``NotPositiveError``.
     """
-    _valid_checks(_matrix4(rho))
+    _valid_checks(_matrix(rho, 4))
 
 
 @dataclass(frozen=True)
@@ -221,7 +216,7 @@ def partial_trace(rho, keep="a"):
     the second.  An index map: any 4x4 matrix is taken and none is
     validated, since the output of a non-state is in general not a state.
     """
-    r = _matrix4(rho).reshape(2, 2, 2, 2)
+    r = _matrix(rho, 4).reshape(2, 2, 2, 2)
     if keep == "a":
         return np.trace(r, axis1=1, axis2=3)
     if keep == "b":

@@ -48,7 +48,7 @@ def validate(matrix):
     has a NaN or infinite entry raises ``InvalidStateError``, as no flag
     applies to it.
     """
-    checks = op._checks(op._matrix4(matrix))
+    checks = op._checks(op._matrix(matrix, 4))
     failed = checks.failed
     return StateValidity(
         hermitian="hermitian" not in failed,

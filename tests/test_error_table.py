@@ -20,10 +20,10 @@ and the diff of ``error_table.json`` then shows what moved.
 A hypothesis sweep feeds every export of ``qcorr`` that takes a state
 inputs no state quantity can take: wrong shapes, NaN and infinite entries,
 and stacks with one bad entry.  Each must end in a ``QcorrError``, never in
-a NumPy error or a warning.  A wrong shape may also
-give a value where one is defined, such as the entropy of a square matrix
-of another size or the empty list of an empty stack, and the two index
-maps may return values for non-finite entries.  Non-numeric dtypes are out
+a NumPy error or a warning.  A wrong shape may also give a value where one
+is defined, such as the entropy of a square matrix of another size or the
+empty list of an empty stack, and the two index maps may return values for
+non-finite entries.  Non-numeric dtypes are out
 of scope: NumPy's ``ValueError`` on them maps to CLI exit 64.  Every error
 class must also survive ``pickle``, so that it can cross a process boundary.
 """
@@ -332,11 +332,13 @@ SWEEP = settings(
 )
 
 
-def _cases(kinds):
+def _cases(inputs):
+    """(export, input) pairs for every state-taking export and every
+    input in the dict ``inputs``, with ids ``export-key``."""
     return [
-        pytest.param(name, kind, id=f"{name}-{kind}")
+        pytest.param(name, value, id=f"{name}-{key}")
         for name in STATE_EXPORTS
-        for kind in kinds
+        for key, value in inputs.items()
     ]
 
 
@@ -356,25 +358,24 @@ def test_sweep_covers_every_export_that_takes_a_state():
     assert {"validate", "discord", "partial_trace", "witness_value"} <= set(STATE_EXPORTS)
 
 
-@pytest.mark.parametrize("name, kind", _cases([str(s) for s in BAD_SHAPES]))
+@pytest.mark.parametrize("name, shape", _cases({str(s): s for s in BAD_SHAPES}))
 @SWEEP
 @given(data=st.data())
-def test_wrong_shape_raises_only_qcorr_errors(name, kind, data):
-    shape = BAD_SHAPES[[str(s) for s in BAD_SHAPES].index(kind)]
+def test_wrong_shape_raises_only_qcorr_errors(name, shape, data):
     m = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
     _call(name, m.astype(complex))
 
 
-@pytest.mark.parametrize("name, kind", _cases(sorted(NON_FINITE)))
+@pytest.mark.parametrize("name, value", _cases(NON_FINITE))
 @SWEEP
 @given(
     seed=st.integers(0, 2**32 - 1),
     i=st.integers(0, 3),
     j=st.integers(0, 3),
 )
-def test_non_finite_entry_raises_invalid_state(name, kind, seed, i, j):
+def test_non_finite_entry_raises_invalid_state(name, value, seed, i, j):
     m = oracles.random_density_matrix(np.random.default_rng(seed))
-    m[i, j] = NON_FINITE[kind]
+    m[i, j] = value
     got = _call(name, m)
     if name not in INDEX_MAPS:
         assert isinstance(got, InvalidStateError), got
