@@ -87,6 +87,29 @@ def test_classify_invalid_state(tmp_path, capsys):
     assert err
 
 
+# entries added to Werner 0.3, and the one stderr line each must give
+INVALID_EDITS = {
+    "trace_1_1": ([(0, 0, 0.1)], "trace differs from 1 by 1.000e-01"),
+    "non_hermitian": ([(0, 1, 1e-6)], "matrix is not Hermitian (defect 1.000e-06)"),
+    # rho_00 = 0.175 goes to -0.025
+    "negative_eigenvalue": (
+        [(0, 0, -0.2), (3, 3, 0.2)],
+        "matrix is not positive semidefinite (min eigenvalue -2.500e-02)",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "nmr-verify"])
+@pytest.mark.parametrize("edit", sorted(INVALID_EDITS))
+def test_invalid_state_prints_its_failed_check(tmp_path, capsys, command, edit):
+    entries, message = INVALID_EDITS[edit]
+    rho = states.make_werner(0.3)
+    for i, j, value in entries:
+        rho[i, j] += value
+    path = write_state(tmp_path, f"{edit}.json", matrix_payload(rho))
+    assert run([command, path], capsys) == (65, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_classify_non_finite_state(tmp_path, capsys, bad):
     # json writes these as NaN and Infinity, which json.load reads back

@@ -293,18 +293,24 @@ def test_mixed_stack_matches_single_states(rng):
     assert repr(stack) == repr([dc.discord(rho) for rho in rhos])
 
 
-_C = [[0.3, 0.0, 0.0], [0.0, -0.2, 0.0], [0.0, 0.0, 0.1]]
-_C_XZ = [[0.3, 0.0, 1e-300], [0.0, -0.2, 0.0], [0.0, 0.0, 0.1]]
+# the 12 coordinates that are zero on a Bell-diagonal state, as entries
+# (i, j) of [[1, y], [x, t]]: x_1, y_2 and t_13, then the other nine
+_OFF_BELL = [
+    (1, 0), (0, 2), (1, 3), (2, 0), (3, 0), (0, 1),
+    (0, 3), (1, 2), (2, 1), (2, 3), (3, 1), (3, 2),
+]
 
 
-@pytest.mark.parametrize(
-    "x, y, t",
-    [
-        ([1e-300, 0, 0], [0, 0, 0], _C),
-        ([0, 0, 0], [0, 1e-300, 0], _C),
-        ([0, 0, 0], [0, 0, 0], _C_XZ),
-    ],
-)
+def _nearly_bell(i, j):
+    """x, y, t of Bell-diagonal c = (0.3, -0.2, 0.1) with entry (i, j) of
+    [[1, y], [x, t]] set to 1e-300; x_3 and y_3 add to the diagonal of rho,
+    beside the 1/4 that 1e-300 rounds away against, so they are 1e-15."""
+    coords = np.diag([1.0, 0.3, -0.2, 0.1])
+    coords[i, j] = 1e-15 if 3 in (i, j) and 0 in (i, j) else 1e-300
+    return coords[1:, 0], coords[0, 1:], coords[1:, 1:]
+
+
+@pytest.mark.parametrize("x, y, t", [_nearly_bell(i, j) for i, j in _OFF_BELL])
 def test_nearly_bell_diagonal_state_takes_the_search(x, y, t):
     # one coordinate 1e-300 off Bell-diagonal still reads nonzero after
     # decompose, so the state is searched
