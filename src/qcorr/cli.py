@@ -72,7 +72,6 @@ def _round_record(record):
 
 def cmd_classify(args):
     rho = states.load_state(args.state_file)
-    states.check_state(rho)
     report = wit.witness_value(
         rho,
         mode=args.mode,
@@ -160,7 +159,6 @@ def cmd_sweep_werner(args):
 
 def cmd_nmr_verify(args):
     rho = states.load_state(args.state_file)
-    states.check_state(rho)
     wit._require_in_class(op.decompose(rho))
     run = nmr.run_protocol(rho, shots=args.shots, seed=args.seed)
     record = run.to_dict()

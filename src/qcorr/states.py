@@ -250,10 +250,3 @@ def save_state(rho, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(state_record(rho), fh)
         fh.write("\n")
-
-
-def check_state(rho):
-    """The ``StateValidity`` record of a valid density matrix; otherwise the
-    first failed check raises, as in :func:`operators.require_density_matrix`."""
-    op.require_density_matrix(rho)
-    return validate(rho)

@@ -1,8 +1,8 @@
 """One validation rule: a state quantity validates, an index map never does.
 
 Each of the functions in ``CALLS`` returns a quantity of a two-qubit state,
-so each validates its input, or is one of the three validators
-(``validate``, ``check_state``, ``require_density_matrix``);
+so each validates its input, or is one of the two validators
+(``validate``, ``require_density_matrix``);
 ``partial_trace`` and ``partial_transpose`` only move indices, and take any
 4x4 matrix.  No public callable has a switch that skips the check.
 
@@ -77,7 +77,6 @@ CALLS = {
     "run_protocol": lambda r: nmr.run_protocol(r, shots=64, seed=5),
     "witness_via_protocol": lambda r: nmr.witness_via_protocol(r, seed=3),
     "validate": states.validate,
-    "check_state": states.check_state,
     "require_density_matrix": op.require_density_matrix,
 }
 

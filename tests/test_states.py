@@ -147,9 +147,8 @@ def test_validate_flags():
 
 
 def test_validate_shape():
-    for check in (states.validate, states.check_state):
-        with pytest.raises(InvalidStateError, match=r"4x4 matrix, got shape \(2, 2\)"):
-            check(np.eye(2))
+    with pytest.raises(InvalidStateError, match=r"4x4 matrix, got shape \(2, 2\)"):
+        states.validate(np.eye(2))
 
 
 def test_validate_non_finite():
@@ -159,8 +158,6 @@ def test_validate_non_finite():
         rho[1, 2] = bad
         with pytest.raises(InvalidStateError):
             states.validate(rho)
-        with pytest.raises(InvalidStateError):
-            states.check_state(rho)
         with pytest.raises(InvalidStateError):
             op.require_density_matrix(rho)
 
@@ -174,14 +171,6 @@ def test_validity_to_dict_keys():
         "min_eigenvalue",
         "in_diagonal_class",
     }
-
-
-def test_check_state_errors():
-    with pytest.raises(InvalidStateError):
-        states.check_state(np.eye(4, dtype=complex))
-    with pytest.raises(NotPositiveError):
-        states.check_state(np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex))
-    states.check_state(states.make_werner(0.3))
 
 
 def test_state_file_round_trip(tmp_path, rng):

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` wraps qcorr functions by module and name; a name
 that a refactor removes or renames silently turns its per-layer metrics
 into nulls.  This test reads the tracer's ``HOOKS`` table (without
-installing anything) and checks each name against the package.  It also
+installing anything) and checks each name against the package; a name
+deleted on purpose is listed in ``REMOVED`` and must read absent.  It also
 checks that the basis search reaches the kernel through the two hooked
 entry points, and that ``import qcorr`` stays light.
 """
@@ -32,12 +33,27 @@ def _hooks():
     return tracer.HOOKS
 
 
+# hooked functions that qcorr no longer has: the tracer skips each and
+# reports its metrics as absent
+REMOVED = [("states", "check_state")]
+
+
 @pytest.mark.parametrize(
     "module, name",
-    [(module, name) for module, names in _hooks().items() for name in names],
+    [
+        (module, name)
+        for module, names in _hooks().items()
+        for name in names
+        if (module, name) not in REMOVED
+    ],
 )
 def test_hooked_function_exists(module, name):
     assert callable(getattr(importlib.import_module(f"qcorr.{module}"), name, None))
+
+
+@pytest.mark.parametrize("module, name", REMOVED)
+def test_removed_hook_reads_absent(module, name):
+    assert getattr(importlib.import_module(f"qcorr.{module}"), name, None) is None
 
 
 def test_single_state_discord_reports_int_evals():
