@@ -237,16 +237,19 @@ def load_state(path):
 
 
 def state_record(rho):
-    """Serialize a state to the matrix form of the state-file format."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    """Serialize a state to the matrix form of the state-file format.  A
+    matrix that is not 4x4 or has a NaN or infinite entry, which no state
+    file can hold, raises ``InvalidStateError``."""
+    rho = op._matrix(rho, 4)
+    op.require_finite(rho)
     entries = [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
     return {"matrix": entries}
 
 
 def save_state(rho, path):
-    """Write a state file in the matrix layout."""
+    """Write a state file in the matrix layout; a matrix that
+    :func:`state_record` rejects leaves ``path`` as it was."""
+    record = state_record(rho)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_record(rho), fh)
+        json.dump(record, fh)
         fh.write("\n")

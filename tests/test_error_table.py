@@ -23,7 +23,8 @@ and stacks with one bad entry.  Each must end in a ``QcorrError``, never in
 a NumPy error or a warning.  A wrong shape may also give a value where one
 is defined, such as the entropy of a square matrix of another size or the
 empty list of an empty stack, and the two index maps may return values for
-non-finite entries.  Non-numeric dtypes are out
+non-finite entries.  ``save_state`` writes over an existing state file,
+which a rejected save must leave as it was.  Non-numeric dtypes are out
 of scope: NumPy's ``ValueError`` on them maps to CLI exit 64.  Every error
 class must also survive ``pickle``, so that it can cross a process boundary.
 """
@@ -36,6 +37,7 @@ import json
 import pickle
 import pkgutil
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -303,17 +305,32 @@ def test_public_names_are_pinned():
     assert sorted(found) == PUBLIC_NAMES
 
 
-# the arguments after the state, for the exports that take more than one
-STATE_ARGS = {"observable_expectations": (DIRECTIONS,)}
-# writes any 4x4 array to a file, and is no quantity of a state
-NOT_SWEPT = {"save_state"}
+def _save_over_a_state_file(m):
+    """``save_state(m, path)`` over a state file at ``path``, in a fresh
+    directory; a save that raises must leave that file as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        states.save_state(states.make_werner(0.3), path)
+        kept = path.read_bytes()
+        try:
+            return states.save_state(m, path)
+        except QcorrError:
+            assert path.read_bytes() == kept
+            raise
+
+
+# how the sweep calls the exports that take more than the state
+STATE_CALLS = {
+    "observable_expectations": lambda m: qcorr.observable_expectations(m, DIRECTIONS),
+    "save_state": _save_over_a_state_file,
+}
 INDEX_MAPS = {"partial_trace", "partial_transpose"}
 
 
 def _state_exports():
     names = []
     for name, obj in vars(qcorr).items():
-        if name.startswith("_") or not inspect.isfunction(obj) or name in NOT_SWEPT:
+        if name.startswith("_") or not inspect.isfunction(obj):
             continue
         first = next(iter(inspect.signature(obj).parameters), None)
         if first in ("rho", "matrix"):
@@ -347,13 +364,13 @@ def _call(name, m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return getattr(qcorr, name)(m, *STATE_ARGS.get(name, ()))
+            return STATE_CALLS.get(name, getattr(qcorr, name))(m)
         except QcorrError as exc:
             return exc
 
 
 def test_sweep_covers_every_export_that_takes_a_state():
-    assert set(STATE_ARGS) <= set(STATE_EXPORTS)
+    assert set(STATE_CALLS) <= set(STATE_EXPORTS)
     assert {"validate", "discord", "partial_trace", "witness_value"} <= set(STATE_EXPORTS)
 
 
