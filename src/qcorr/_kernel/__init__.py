@@ -1,7 +1,10 @@
 """Closed-form measured mutual information of two-qubit states, in NumPy.
 
-For a state with expectation coordinates (x, y, t) (see
-``operators.decompose``), reading qubit b with the two-outcome measurement
+A state enters as its (4, 4) array of Pauli coordinates
+``[[1, y], [x, t]]``, entry ``[i, j] = <sigma_i (x) sigma_j>``, the array
+that ``operators._checks`` reads off a validated state; entry [0, 0] is
+read as 1 whatever it holds.  For a state with local Bloch vectors x, y
+and correlations t, reading qubit b with the two-outcome measurement
 ``(id +- n . sigma) / 2`` gives outcome probabilities ``q = (1 +- y.n)/2``
 and conditioned Bloch vectors ``(x +- t n) / 2q`` for qubit a.  A unit
 ``n`` is a projective readout; a shorter one an unsharp readout, over
@@ -12,10 +15,12 @@ less the perspectives of the binary entropy h at ``L = |x +- t n| / 2``,
 product affine in n.  Outcomes with ``q`` at most ``PROB_FLOOR`` add
 nothing, and ``L`` is clamped to at most ``q``.
 
-Both functions broadcast over leading axes of ``x`` (shape ``(..., 3)``),
-``y`` (``(..., 3)``) and ``t`` (``(..., 3, 3)``), so a stack of states is
-read in one call.  Results match the explicit projector and partial-trace
-route to near machine precision; see the package tests.
+Both functions take coordinates ``(..., 4, 4)`` and broadcast over their
+leading axes, so a stack of states is read in one call: ``measured_info``
+reads directions ``(..., points, 3)`` into J ``(..., points)``, and
+``measured_info_grid`` a grid of unit directions.  Results match the
+explicit projector and partial-trace route to near machine precision; see
+the package tests.
 """
 
 import numpy as np
@@ -48,16 +53,12 @@ def entropy_of_length(r):
     return -(_xlog2x(0.5 + half) + _xlog2x(0.5 - half))
 
 
-def _affine(x, y, t):
+def _affine(coords):
     """The (..., 12, 4) map (1, n) -> (q, u) of the parts; row ``3 c + k``
     is component c of (q, u) in part k."""
-    shape = np.broadcast(x[..., 0], y[..., 0], t[..., 0, 0]).shape
-    a = np.empty(shape + (4, 4))
+    a = np.array(coords, dtype=float)
     a[..., 0, 0] = 1.0
-    a[..., 0, 1:] = y
-    a[..., 1:, 0] = x
-    a[..., 1:, 1:] = t
-    return (a[..., None, :] * _PARTS).reshape(shape + (12, 4))
+    return (a[..., None, :] * _PARTS).reshape(a.shape[:-2] + (12, 4))
 
 
 def _info(n, affine):
@@ -77,31 +78,22 @@ def _info(n, affine):
     return _SIGNS @ _xlog2x(_ARGS @ q_length)
 
 
-def measured_info(x, y, t, n):
-    """Measured mutual information in bits for readout direction ``n``.
-
-    ``n`` has shape ``(..., 3)`` and length at most 1; its leading axes
-    broadcast against those of the state coordinates; a last state axis
-    of length 1 reads ``n``'s last leading axis in one product per state.
-    """
-    x, y, t, n = (np.asarray(v, dtype=float) for v in (x, y, t, n))
-    affine = _affine(x, y, t)
-    if n.ndim > 1 and affine.shape[-3:-2] in ((), (1,)):
-        return _info(n, affine[..., 0, :, :] if affine.ndim > 2 else affine)
-    return _info(n[..., None, :], affine)[..., 0]
+def measured_info(coords, n):
+    """Measured mutual information J (..., points) in bits of the states
+    with coordinates ``coords`` (..., 4, 4) at the readout directions ``n``
+    (..., points, 3), each at most 1 long; the leading axes broadcast."""
+    return _info(np.asarray(n, dtype=float), _affine(coords))
 
 
-def measured_info_grid(x, y, t, thetas, phis, out):
-    """Fill ``out[..., i, j]`` with the measured information at the unit
-    direction ``(thetas[i], phis[j])`` for each state of the stack."""
-    x, y, t = (np.asarray(v, dtype=float) for v in (x, y, t))
+def measured_info_grid(coords, thetas, phis):
+    """The measured information (..., thetas, phis) of the states with
+    coordinates ``coords`` (..., 4, 4) at the unit directions
+    ``(thetas[i], phis[j])``."""
     thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
-    shape = x.shape[:-1] + (thetas.size, phis.size)
-    if out.shape != shape:
-        raise ValueError(f"out must have shape {shape}, got {out.shape}")
-    n = np.empty(shape[-2:] + (3,))
+    n = np.empty((thetas.size, phis.size, 3))
     st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
     n[..., 0] = st * np.cos(phis)
     n[..., 1] = st * np.sin(phis)
     n[..., 2] = ct
-    out[...] = _info(n.reshape(-1, 3), _affine(x, y, t)).reshape(shape)
+    affine = _affine(coords)
+    return _info(n.reshape(-1, 3), affine).reshape(affine.shape[:-2] + n.shape[:2])

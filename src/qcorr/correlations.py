@@ -8,14 +8,17 @@ correlation, and quantum discord is the gap to the total mutual
 information.
 
 The measured mutual information is evaluated in one place: the
-closed-form kernel over expectation coordinates in ``_kernel``.  The tests
-pin it against an independent route through projectors, partial traces
-and eigensolves (``tests/oracles.py``).
+closed-form kernel in ``_kernel``, over the (4, 4) Pauli coordinates
+``[[1, y], [x, t]]`` that the state check reads off each state, the one
+layout from the check to the kernel.  The tests pin it against an
+independent route through projectors, partial traces and eigensolves
+(``tests/oracles.py``).
 
 ``classical_correlation`` and ``discord`` take one 4x4 state or an
 ``(N, 4, 4)`` stack; a stack is searched in one batched pass and gives a
-list of results.  An exactly Bell-diagonal state takes Luo's closed form
-instead (three axis readouts, ``evals`` 3); every other state is searched.
+list of results.  An exactly Bell-diagonal state, whose coordinate array
+is diagonal, takes Luo's closed form instead (three axis readouts,
+``evals`` 3); every other state is searched.
 """
 
 from dataclasses import dataclass
@@ -35,11 +38,11 @@ DISCORD_CLAMP = 1e-8
 def mutual_information(rho):
     """Total correlations ``S(rho_a) + S(rho_b) - S(rho)`` in bits; the
     marginal entropies are binary entropies of the Bloch-vector lengths."""
-    rho = np.asarray(rho, dtype=complex)
-    decomp = op.decompose(rho)
-    lengths = np.sqrt([decomp.x @ decomp.x, decomp.y @ decomp.y])
+    checks = op._valid_checks(op._matrix(rho, 4))
+    x, y = checks.coords[1:, 0], checks.coords[0, 1:]
+    lengths = np.sqrt([x @ x, y @ y])
     marginals = _kernel.entropy_of_length(np.minimum(lengths, 1.0))
-    return float(marginals.sum()) - op.von_neumann_entropy(rho)
+    return float(marginals.sum()) - op._entropy_bits(checks.spectrum[::-1])
 
 
 class ClassicalCorrelationResult(NamedTuple):
@@ -56,9 +59,10 @@ class ClassicalCorrelationResult(NamedTuple):
 # converges only linearly, so each iteration takes a Newton step in the
 # tangent plane of the sphere when that raises J, and the power step when
 # it does not.  Both come from one stencil of kernel evaluations around
-# the current point.  Each (state, start) pair is one row of flat
-# (rows, ...) arrays, and every running row of every state of a stack
-# moves in the same kernel call; a row that stops leaves them.
+# the current point.  Each (state, start) pair is one row of (rows, ...)
+# arrays, its state's (4, 4) Pauli coordinates among them, and every
+# running row of every state of a stack moves in the same kernel call; a
+# row that stops leaves them.
 
 # upper hemisphere only, as n and -n give the same readout basis
 _GRID_THETAS = (np.arange(7) + 0.5) * (np.pi / 14.0)
@@ -172,17 +176,11 @@ def _frames(n):
     return frames
 
 
-def _split(coords):
-    """Views x, y, t of flat coordinates (..., 15)."""
-    t = coords[..., 6:].reshape(coords.shape[:-1] + (3, 3))
-    return coords[..., :3], coords[..., 3:6], t
-
-
 def _probe(coords, frames):
     """Frames (rows, candidates, 3, 3) and the stencil derivatives of J at
     their points n, as (rows, candidates, 16); one kernel call for all."""
     points = (_STENCIL_COEF @ frames).reshape(len(frames), -1, 3)
-    values = _kernel.measured_info(*_split(coords), points)
+    values = _kernel.measured_info(coords, points)
     values = values.reshape(frames.shape[:-2] + (len(_STENCIL),))
     frames = frames.reshape(frames.shape[:-2] + (9,))
     return np.concatenate([frames, values @ _DERIV], axis=-1)
@@ -226,24 +224,22 @@ def _pick_starts(grid):
     return picks
 
 
-# the three like-axis readouts, and the entries of a flat (x, y, t) that
-# are zero for a Bell-diagonal state
+# the three like-axis readouts
 _AXES = np.eye(3)
-_NOT_BELL = np.array([0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13])
 
 
 def _basis_search(coords, max_evals):
     """Maximize J over readout directions for each state of a stack with
-    flat coordinates (x, y, t) ``coords`` (N, 15).  Returns J*, the
-    maximizing unit vectors and the evaluations spent, per state.  A
-    Bell-diagonal state (x = y = 0 and t diagonal, exactly) is read along
-    the three axes only, as an axis of its largest |t_kk| is optimal (Luo,
-    PRA 77, 042303, 2008); the other states are searched together, one row
-    per (state, start).  Raises ``OptimizerFailureError`` for states none
-    of whose starts settled within ``max_evals`` evaluations.
+    Pauli coordinates ``coords`` (N, 4, 4), ``[[1, y], [x, t]]``.  Returns
+    J*, the maximizing unit vectors and the evaluations spent, per state.
+    A Bell-diagonal state (a diagonal coordinate array, exactly) is read
+    along the three axes only, as an axis of its largest |t_kk| is optimal
+    (Luo, PRA 77, 042303, 2008); the other states are searched together,
+    one row per (state, start).  Raises ``OptimizerFailureError`` for
+    states none of whose starts settled within ``max_evals`` evaluations.
     """
     count = len(coords)
-    bell = ~coords[:, _NOT_BELL].any(axis=1)
+    bell = ~coords[:, ~np.eye(4, dtype=bool)].any(axis=1)
     rest = np.flatnonzero(~bell)
     first = _GRID_N.shape[0] + _STARTS * len(_STENCIL)
     per_round = 2 * _STARTS * len(_STENCIL)
@@ -254,16 +250,14 @@ def _basis_search(coords, max_evals):
     j_star, n_star = np.empty(count), np.empty((count, 3))
     evals = np.full(count, len(_AXES))
     if rest.size < count:
-        values = _kernel.measured_info(*_split(coords[bell, None]), _AXES)
+        values = _kernel.measured_info(coords[bell], _AXES)
         j_star[bell], n_star[bell] = values.max(axis=1), _AXES[values.argmax(axis=1)]
         coords = coords[rest]
     if not rest.size:
         return j_star, n_star, evals
-    grid = np.empty((rest.size, _GRID_THETAS.size, _GRID_PHIS.size))
-    _kernel.measured_info_grid(*_split(coords), _GRID_THETAS, _GRID_PHIS, grid)
-    # row s * _STARTS + k is start k of state s, with its coordinates on an
-    # axis of length 1, along which the kernel reads its stencil points
-    coords = coords.repeat(_STARTS, axis=0)[:, None]
+    grid = _kernel.measured_info_grid(coords, _GRID_THETAS, _GRID_PHIS)
+    # row s * _STARTS + k is start k of state s
+    coords = coords.repeat(_STARTS, axis=0)
     picks = _pick_starts(grid.reshape(rest.size, _GRID_N.shape[0]))
     state = _probe(coords, _GRID_FRAMES[picks.reshape(-1, 1)])[:, 0]
     # the running rows by index, and what each stopped one left: its final
@@ -352,9 +346,9 @@ def classical_correlation(rho, max_evals=20000):
     A stack of states gives a list of results.
     """
     stack, single = _as_stack(rho)
-    parts = [op.decompose(state) for state in stack]
-    coords = np.array([np.concatenate([p.x, p.y, p.t.reshape(9)]) for p in parts])
-    j_star, n_star, evals = _basis_search(coords.reshape(-1, 15), max_evals)
+    coords = [op._valid_checks(op._matrix(state, 4)).coords for state in stack]
+    coords = np.array(coords).reshape(-1, 4, 4)
+    j_star, n_star, evals = _basis_search(coords, max_evals)
     results = [
         ClassicalCorrelationResult(
             j_star=float(j), basis=MeasurementBasis.from_bloch(n), evals=int(e)

@@ -181,9 +181,7 @@ def decompose(rho):
     one product with a constant matrix.  Imaginary residues of the traces
     (at most 1e-12 for valid input) are discarded.
     """
-    rho = np.asarray(rho, dtype=complex)
-    require_density_matrix(rho)
-    c = _checks(rho).coords.copy()
+    c = _valid_checks(_matrix(rho, 4)).coords.copy()
     return PauliDecomposition(x=c[1:, 0], y=c[0, 1:], t=c[1:, 1:])
 
 

@@ -139,8 +139,8 @@ def test_measured_info_of_product_state_read_near_an_unlikely_outcome():
         side = _unit(np.cross(b, rng.normal(size=3)))
         n = _unit(-np.cos(tilt) * b + np.sin(tilt) * side)
         small += _probability_of_outcome_0(rho, n) <= 1e-6
-        d = op.decompose(rho)
-        assert abs(_kernel.measured_info(d.x, d.y, d.t, n)) <= 1e-12
+        coords = op._valid_checks(op._matrix(rho, 4)).coords
+        assert abs(_kernel.measured_info(coords, n[None])[0]) <= 1e-12
     assert small == 300
 
 
