@@ -98,7 +98,6 @@ def test_points_read_per_state_match_one_call_per_point(rng):
     assert np.allclose(together, apart, atol=1e-15)
 
 
-
 def test_entry_00_reads_as_one(rng):
     # the trace in entry [0, 0] of a valid state's coordinates may differ
     # from 1 by up to 1e-12; the kernel reads it as 1 and leaves it as it is
